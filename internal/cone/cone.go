@@ -128,24 +128,22 @@ func AddressCounts(ds *paths.Dataset) map[uint32]int64 {
 
 // PrefixCounts counts each origin's distinct prefixes in a corpus.
 func PrefixCounts(ds *paths.Dataset) map[uint32]int {
-	seen := make(map[uint32]map[string]bool)
+	type originPrefix struct {
+		origin uint32
+		prefix netip.Prefix
+	}
+	seen := make(map[originPrefix]bool)
 	out := make(map[uint32]int)
 	for _, p := range ds.Paths {
 		if !p.Prefix.IsValid() {
 			continue
 		}
-		origin := p.Origin()
-		m, ok := seen[origin]
-		if !ok {
-			m = make(map[string]bool)
-			seen[origin] = m
-		}
-		key := p.Prefix.String()
-		if m[key] {
+		k := originPrefix{p.Origin(), p.Prefix}
+		if seen[k] {
 			continue
 		}
-		m[key] = true
-		out[origin]++
+		seen[k] = true
+		out[k.origin]++
 	}
 	return out
 }

@@ -292,6 +292,26 @@ func TestAddressAndPrefixCounts(t *testing.T) {
 	}
 }
 
+// TestPrefixCountsMappedAndPlain counts an IPv4 prefix and its
+// IPv4-mapped IPv6 form as two prefixes of their origin, and a prefix
+// repeated under other collectors and VPs once.
+func TestPrefixCountsMappedAndPlain(t *testing.T) {
+	ds := &paths.Dataset{}
+	add := func(collector, prefix string, asns ...uint32) {
+		ds.Add(paths.Path{Collector: collector, Prefix: netip.MustParsePrefix(prefix), ASNs: asns})
+	}
+	add("c", "1.2.3.0/24", 1, 5)
+	add("c", "::ffff:1.2.3.0/24", 1, 5)
+	add("d", "1.2.3.0/24", 2, 5)
+	add("d", "::ffff:1.2.3.0/24", 2, 5)
+	add("c", "1.2.3.0/24", 1, 6)
+	ds.Add(paths.Path{Collector: "c", ASNs: []uint32{1, 7}}) // no prefix: not counted
+	pc := PrefixCounts(ds)
+	if want := map[uint32]int{5: 2, 6: 1}; !reflect.DeepEqual(pc, want) {
+		t.Errorf("prefix counts = %v, want %v", pc, want)
+	}
+}
+
 func TestAddressCountsIs4In6(t *testing.T) {
 	ds := &paths.Dataset{}
 	add := func(prefix string, asns ...uint32) {

@@ -193,22 +193,6 @@ func removeASN(s []uint32, v uint32) []uint32 {
 	return out
 }
 
-// discardPoisoned implements step 4: drop paths where a non-clique AS
-// appears between two clique members — evidence of poisoning or a route
-// leak that would corrupt top-down inference.
-func discardPoisoned(ds *paths.Dataset, clique map[uint32]bool) (*paths.Dataset, int) {
-	out := &paths.Dataset{Paths: make([]paths.Path, 0, len(ds.Paths))}
-	dropped := 0
-	for _, p := range ds.Paths {
-		if poisoned(p.ASNs, clique) {
-			dropped++
-			continue
-		}
-		out.Add(p)
-	}
-	return out, dropped
-}
-
 // Poisoned reports whether a path is a clique–nonclique–clique sandwich
 // under the given clique set — step 4's per-path predicate, exported so
 // the streaming engine can maintain poisoned flags incrementally.
@@ -216,6 +200,9 @@ func Poisoned(asns []uint32, clique map[uint32]bool) bool {
 	return poisoned(asns, clique)
 }
 
+// poisoned is step 4's predicate: a path is dropped when a non-clique
+// AS appears between two clique members — evidence of poisoning or a
+// route leak that would corrupt top-down inference.
 func poisoned(asns []uint32, clique map[uint32]bool) bool {
 	// Find a pattern clique, non-clique+, clique.
 	lastClique := -1

@@ -259,9 +259,38 @@ func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 }
 
 func inferSanitized(ctx context.Context, ds *paths.Dataset, opts Options, sanStats paths.SanitizeStats) *Result {
-	// Steps 2–4 are the only stages that touch the corpus itself; they
-	// build the two index layers the shared engine (InferIndexed)
-	// consumes. Their metric stages label no links.
+	f := foldCorpus(ctx, ds, opts)
+	inferPoisoned.Add(uint64(f.dropped))
+	if root := trace.FromContext(ctx); root != nil {
+		root.SetAttrInt("poisoned_paths", int64(f.dropped))
+	}
+
+	res := InferIndexed(ctx, f.ix, f.rank, f.clique, opts)
+	res.PoisonedPaths = f.dropped
+	res.Dataset = f.kept
+	res.SanitizeStats = sanStats
+	return res
+}
+
+// corpusFold is what steps 2–4 derive from the corpus: both index
+// layers, the ranking and clique, and the rows step 4 kept and dropped.
+type corpusFold struct {
+	ix           *CorpusIndex
+	rank, clique []uint32
+	kept         *paths.Dataset
+	dropped      int
+}
+
+// foldCorpus runs steps 2–4, the only stages that touch the corpus
+// itself; they build the two index layers the shared engine
+// (InferIndexed) consumes. Their metric stages label no links.
+//
+// Steps 2–4 read only which adjacencies and hop triples exist, so each
+// distinct hop sequence is folded into the index once, however many
+// rows (prefixes, collectors) repeat it. Step 4's verdict is per
+// sequence; the kept corpus and the dropped count are per row, in
+// input order. opts must already carry its defaults.
+func foldCorpus(ctx context.Context, ds *paths.Dataset, opts Options) corpusFold {
 	stagePre := func(spanName, step string, fn func()) {
 		_, span := trace.StartSpan(ctx, spanName)
 		t0 := time.Now()
@@ -270,45 +299,48 @@ func inferSanitized(ctx context.Context, ds *paths.Dataset, opts Options, sanSta
 		span.End()
 	}
 
-	ix := NewCorpusIndex()
-	var rank, clique []uint32
+	f := corpusFold{ix: NewCorpusIndex()}
+	var hs hopSet
+	var rowSeq []int32
 
 	// Step 2: ranking.
 	stagePre("core.infer.rank", "rank", func() {
-		for _, p := range ds.Paths {
-			ix.AddPath(p.ASNs, 1)
+		rowSeq = hs.internRows(ds)
+		for _, seq := range hs.seqs {
+			f.ix.AddPath(seq, 1)
 		}
-		rank = ix.Rank()
+		f.rank = f.ix.Rank()
 	})
 
 	// Step 3: clique.
 	stagePre("core.infer.clique", "clique", func() {
-		clique = CliqueFromIndex(ix, rank, opts)
+		f.clique = CliqueFromIndex(f.ix, f.rank, opts)
 	})
-	cliqueSet := make(map[uint32]bool, len(clique))
-	for _, c := range clique {
+	cliqueSet := make(map[uint32]bool, len(f.clique))
+	for _, c := range f.clique {
 		cliqueSet[c] = true
 	}
 
 	// Step 4: discard poisoned paths and build the kept layer.
-	var kept *paths.Dataset
-	dropped := 0
 	stagePre("core.infer.poison", "poison", func() {
-		kept, dropped = discardPoisoned(ds, cliqueSet)
-		for _, p := range kept.Paths {
-			ix.AddKept(p.ASNs, 1)
+		poisonedSeq := make([]bool, len(hs.seqs))
+		for i, seq := range hs.seqs {
+			if poisoned(seq, cliqueSet) {
+				poisonedSeq[i] = true
+			} else {
+				f.ix.AddKept(seq, 1)
+			}
+		}
+		f.kept = &paths.Dataset{Paths: make([]paths.Path, 0, len(ds.Paths))}
+		for r, p := range ds.Paths {
+			if poisonedSeq[rowSeq[r]] {
+				f.dropped++
+				continue
+			}
+			f.kept.Add(p)
 		}
 	})
-	inferPoisoned.Add(uint64(dropped))
-	if root := trace.FromContext(ctx); root != nil {
-		root.SetAttrInt("poisoned_paths", int64(dropped))
-	}
-
-	res := InferIndexed(ctx, ix, rank, clique, opts)
-	res.PoisonedPaths = dropped
-	res.Dataset = kept
-	res.SanitizeStats = sanStats
-	return res
+	return f
 }
 
 // InferIndexed runs inference over an already-built corpus index with a
@@ -381,16 +413,4 @@ func InferIndexed(ctx context.Context, ix *CorpusIndex, rank, clique []uint32, o
 	}
 	stage("core.infer.peer_default", "peer-default", inf.peerRest) // step 9
 	return res
-}
-
-// rankASes orders ASes by decreasing transit degree, then decreasing
-// node degree, then ascending ASN.
-func rankASes(ds *paths.Dataset, transit, degree map[uint32]int) []uint32 {
-	set := ds.ASes()
-	out := make([]uint32, 0, len(set))
-	for asn := range set {
-		out = append(out, asn)
-	}
-	sort.Slice(out, rankLess(out, transit, degree))
-	return out
 }

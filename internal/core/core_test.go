@@ -22,6 +22,18 @@ func ds(pathList ...[]uint32) *paths.Dataset {
 	return d
 }
 
+// indexOf folds the distinct hop sequences of d into a fresh ranked
+// layer, as step 2 does.
+func indexOf(d *paths.Dataset) *CorpusIndex {
+	ix := NewCorpusIndex()
+	var hs hopSet
+	hs.internRows(d)
+	for _, seq := range hs.seqs {
+		ix.AddPath(seq, 1)
+	}
+	return ix
+}
+
 func TestRankASes(t *testing.T) {
 	// 20 transits for 4 distinct neighbor pairs; 30 transits for 2.
 	d := ds(
@@ -31,24 +43,21 @@ func TestRankASes(t *testing.T) {
 		[]uint32{12, 30, 40},
 	)
 	td := d.TransitDegrees()
-	deg := d.Degrees()
-	rank := rankASes(d, td, deg)
+	ix := indexOf(d)
+	if !reflect.DeepEqual(ix.TransitDegrees(), td) || !reflect.DeepEqual(ix.Degrees(), d.Degrees()) {
+		t.Fatalf("index degrees %v/%v, dataset %v/%v", ix.TransitDegrees(), ix.Degrees(), td, d.Degrees())
+	}
+	rank := ix.Rank()
 	if rank[0] != 20 {
 		t.Errorf("rank[0] = %d, want 20 (transit degree %d)", rank[0], td[20])
 	}
 	if rank[1] != 30 {
 		t.Errorf("rank[1] = %d, want 30", rank[1])
 	}
-	// Ties broken by node degree then ASN: stubs 10 (deg 1) vs 11/12/31/40.
-	seen := map[uint32]bool{}
-	for _, a := range rank {
-		if seen[a] {
-			t.Fatalf("duplicate %d in rank", a)
-		}
-		seen[a] = true
-	}
-	if len(rank) != 7 {
-		t.Errorf("rank has %d ASes", len(rank))
+	// The stubs tie on transit degree 0 and node degree 1, so they
+	// follow in ascending ASN order.
+	if want := []uint32{20, 30, 10, 11, 12, 31, 40}; !reflect.DeepEqual(rank, want) {
+		t.Errorf("rank = %v, want %v", rank, want)
 	}
 }
 
@@ -68,14 +77,25 @@ func TestPoisonedDetection(t *testing.T) {
 	}
 }
 
+// TestDiscardPoisoned checks step 4 through the fold: the poisoned
+// sequence's rows are dropped and counted per row, and the kept rows
+// keep their input order.
 func TestDiscardPoisoned(t *testing.T) {
 	d := ds(
 		[]uint32{5, 1, 9, 2, 7},
 		[]uint32{5, 1, 2, 7},
+		[]uint32{5, 1, 9, 2, 7},
+		[]uint32{6, 1, 2, 7},
 	)
-	out, n := discardPoisoned(d, map[uint32]bool{1: true, 2: true})
-	if n != 1 || out.NumPaths() != 1 {
-		t.Errorf("dropped %d, kept %d", n, out.NumPaths())
+	res := Infer(d, Options{Clique: []uint32{1, 2}})
+	if res.PoisonedPaths != 2 || res.Dataset.NumPaths() != 2 {
+		t.Fatalf("dropped %d, kept %d; want 2 and 2", res.PoisonedPaths, res.Dataset.NumPaths())
+	}
+	if !reflect.DeepEqual(res.Dataset.Paths, []paths.Path{d.Paths[1], d.Paths[3]}) {
+		t.Errorf("kept rows %v, want rows 1 and 3 in order", res.Dataset.Paths)
+	}
+	if _, ok := res.Rels[paths.NewLink(1, 9)]; ok {
+		t.Error("link 1-9 of the poisoned path reached inference")
 	}
 }
 

@@ -1,0 +1,143 @@
+package core
+
+import (
+	"context"
+	"net/netip"
+	"reflect"
+	"testing"
+
+	"github.com/asrank-go/asrank/internal/bgpsim"
+	"github.com/asrank-go/asrank/internal/paths"
+	"github.com/asrank-go/asrank/internal/topology"
+)
+
+// seedCorpus is the sanitized simulated collection of a fixed seed.
+func seedCorpus(tb testing.TB, seed int64, ases, vps int) *paths.Dataset {
+	tb.Helper()
+	p := topology.DefaultParams(seed)
+	p.ASes = ases
+	topo := topology.Generate(p)
+	opts := bgpsim.DefaultOptions(seed)
+	opts.NumVPs = vps
+	sim, err := bgpsim.Run(topo, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
+	return clean
+}
+
+// TestRowMultiplicityInvariant re-adds every row of a corpus under two
+// more collectors and prefixes. Steps 2–4 fold distinct hop sequences,
+// so inference must not move; only the row-level outputs scale: the
+// poisoned count triples and the kept corpus is the unpoisoned rows in
+// input order.
+func TestRowMultiplicityInvariant(t *testing.T) {
+	base := seedCorpus(t, 101, 500, 15)
+	multi := &paths.Dataset{Paths: append([]paths.Path(nil), base.Paths...)}
+	for i, c := range []string{"dup-a", "dup-b"} {
+		for r, p := range base.Paths {
+			p.Collector = c
+			p.Prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{100 + byte(i), byte(r >> 16), byte(r >> 8), byte(r)}), 32)
+			multi.Add(p)
+		}
+	}
+
+	want := Infer(base, Options{})
+	got := Infer(multi, Options{})
+	if want.PoisonedPaths == 0 {
+		t.Fatal("seed corpus has no poisoned paths; the test would not exercise step 4")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Rels", got.Rels, want.Rels},
+		{"Steps", got.Steps, want.Steps},
+		{"Rank", got.Rank, want.Rank},
+		{"Clique", got.Clique, want.Clique},
+		{"TransitDegree", got.TransitDegree, want.TransitDegree},
+		{"Degree", got.Degree, want.Degree},
+		{"Providerless", got.Providerless, want.Providerless},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s differs once rows repeat", c.name)
+		}
+	}
+	if got.PoisonedPaths != 3*want.PoisonedPaths {
+		t.Errorf("PoisonedPaths = %d, want 3×%d rows", got.PoisonedPaths, want.PoisonedPaths)
+	}
+
+	// Reference step 4: the per-row filter under the inferred clique.
+	clique := make(map[uint32]bool)
+	for _, c := range got.Clique {
+		clique[c] = true
+	}
+	var kept []paths.Path
+	for _, p := range multi.Paths {
+		if !poisoned(p.ASNs, clique) {
+			kept = append(kept, p)
+		}
+	}
+	if !reflect.DeepEqual(got.Dataset.Paths, kept) {
+		t.Errorf("kept corpus has %d rows, want the %d unpoisoned rows in input order", len(got.Dataset.Paths), len(kept))
+	}
+}
+
+// TestHopSetComparesHops forces every sequence onto one hash: intern
+// must still tell different sequences apart by their hops and find
+// each one again.
+func TestHopSetComparesHops(t *testing.T) {
+	hs := hopSet{head: make(map[uint64]int32)}
+	seqs := [][]uint32{{1, 2, 3}, {3, 2, 1}, {1, 2}, {1, 2, 3, 4}}
+	for i, s := range seqs {
+		if got := hs.intern(s, 42); got != int32(i) {
+			t.Fatalf("intern(%v) = %d, want new entry %d", s, got, i)
+		}
+	}
+	for i, s := range seqs {
+		if got := hs.intern(append([]uint32(nil), s...), 42); got != int32(i) {
+			t.Errorf("re-intern(%v) = %d, want %d", s, got, i)
+		}
+	}
+	if len(hs.seqs) != len(seqs) {
+		t.Errorf("%d entries, want %d", len(hs.seqs), len(seqs))
+	}
+}
+
+// TestInternRows checks the row → sequence mapping: equal hops share
+// an entry whatever their collector and prefix, entries are in
+// first-seen order.
+func TestInternRows(t *testing.T) {
+	d := ds(
+		[]uint32{1, 2, 3},
+		[]uint32{4, 5},
+		[]uint32{1, 2, 3},
+		[]uint32{1, 2},
+		[]uint32{4, 5},
+	)
+	var hs hopSet
+	if got, want := hs.internRows(d), []int32{0, 1, 0, 2, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("row sequences %v, want %v", got, want)
+	}
+	if want := [][]uint32{{1, 2, 3}, {4, 5}, {1, 2}}; !reflect.DeepEqual(hs.seqs, want) {
+		t.Errorf("sequences %v, want %v", hs.seqs, want)
+	}
+}
+
+// benchFold keeps the benchmarked fold's result live.
+var benchFold corpusFold
+
+// BenchmarkCorpusFold measures steps 2–4 alone — interning the hop
+// sequences, ranking, clique, poisoned-path discard, both index layers
+// — over the root package's micro-bench corpus (seed 1, 1000 ASes, 15
+// VPs), on which its BenchmarkInfer runs steps 2–9.
+func BenchmarkCorpusFold(b *testing.B) {
+	clean := seedCorpus(b, 1, 1000, 15)
+	opts := Options{}.withDefaults()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchFold = foldCorpus(context.Background(), clean, opts)
+	}
+}

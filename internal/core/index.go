@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/asrank-go/asrank/internal/paths"
@@ -29,10 +30,11 @@ type pairKey struct {
 // CorpusIndex holds every corpus-derived aggregate steps 2–9 consume,
 // maintained as reference counts so paths can be added and removed in
 // any order. The index state is a pure function of the current path
-// multiset — adds and removes commute — which is what makes incremental
-// inference provably equal to batch (DESIGN.md §15): inference reads
-// only key presence and the derived distinct-neighbor counts, never the
-// counts of the raw occurrence maps.
+// multiset — adds and removes commute — and its key sets depend only on
+// which hop sequences are present, not how often. That is what makes
+// incremental inference provably equal to batch (DESIGN.md §15):
+// inference reads only key presence and the derived distinct-neighbor
+// counts, never the counts of the raw occurrence maps.
 //
 // The index has two layers mirroring the pipeline's step-4 cut:
 //
@@ -42,9 +44,10 @@ type pairKey struct {
 //     (paths not poisoned under the step-3 clique), feeding the
 //     intra-clique labeling, provider-less detection, and steps 5–9.
 //
-// Batch inference builds both layers by folding +1 over a Dataset; the
-// streaming engine calls the same mutators with ±1 deltas as routes are
-// announced and withdrawn.
+// Batch inference builds both layers by folding +1 once per distinct
+// hop sequence of a Dataset; the streaming engine calls the same
+// mutators with ±1 deltas per route entry as routes are announced and
+// withdrawn. The two share key sets, not raw counts.
 type CorpusIndex struct {
 	// Ranked layer.
 	occur       map[uint32]int     // per-hop AS occurrences (ASes())
@@ -122,11 +125,10 @@ func bumpPair(pairs map[pairKey]int, counts map[uint32]int, x, y uint32, d int) 
 	}
 }
 
-// AddPath folds one distinct sanitized path into (d=+1) or out of
-// (d=-1) the ranked layer. The caller is responsible for distinctness:
-// the batch pipeline dedupes in Sanitize, the streaming engine
-// refcounts RIB entries per distinct path and calls AddPath only on
-// 0↔1 transitions.
+// AddPath folds one sanitized path into (d=+1) or out of (d=-1) the
+// ranked layer. The batch pipeline adds each distinct hop sequence
+// once; the streaming engine refcounts RIB entries per (collector,
+// prefix, hops) and calls AddPath only on an entry's 0↔1 transitions.
 func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 	for _, a := range asns {
 		bump(ix.occur, a, d)
@@ -149,7 +151,7 @@ func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 	}
 }
 
-// AddKept folds one distinct non-poisoned path into (d=+1) or out of
+// AddKept folds one non-poisoned path into (d=+1) or out of
 // (d=-1) the kept layer. Poisoned-ness is a per-path function of the
 // clique (see Poisoned); when the clique changes, the engine resets the
 // layer and re-adds every surviving path.
@@ -185,7 +187,7 @@ func (ix *CorpusIndex) ResetKept() {
 	ix.vpFirstHops = make(map[VPPair]int)
 }
 
-// PathCount returns the number of distinct paths in the kept layer.
+// PathCount returns the number of paths folded into the kept layer.
 func (ix *CorpusIndex) PathCount() int { return ix.pathCount }
 
 // Links returns the kept layer's link set, keyed like Dataset.Links.
@@ -215,7 +217,7 @@ func (ix *CorpusIndex) Degrees() map[uint32]int {
 
 // Rank orders every observed AS by decreasing transit degree, then
 // decreasing node degree, then ascending ASN — step 2 over the ranked
-// layer, equal to rankASes over the corresponding Dataset.
+// layer.
 func (ix *CorpusIndex) Rank() []uint32 {
 	out := make([]uint32, 0, len(ix.occur))
 	for asn := range ix.occur {
@@ -272,4 +274,54 @@ func (ix *CorpusIndex) predecessorPairs() map[uint32][][2]uint32 {
 		out[t.Next] = append(out[t.Next], [2]uint32{t.Prev, t.Mid})
 	}
 	return out
+}
+
+// hopSet interns distinct hop sequences in first-seen order. A sequence
+// is looked up by its hash and then compared hop by hop: two sequences
+// are one entry only when every hop is equal, never on a hash match
+// alone.
+type hopSet struct {
+	seqs [][]uint32       // distinct sequences, first-seen order
+	head map[uint64]int32 // hash -> newest sequence with that hash
+	next []int32          // next[i]: older sequence with seqs[i]'s hash, or -1
+}
+
+// internRows interns the hops of every row of ds and returns, per row,
+// the index of its sequence in hs.seqs. The sequences alias the rows'
+// hop slices.
+func (hs *hopSet) internRows(ds *paths.Dataset) []int32 {
+	hs.head = make(map[uint64]int32)
+	rowSeq := make([]int32, len(ds.Paths))
+	for r, p := range ds.Paths {
+		rowSeq[r] = hs.intern(p.ASNs, hashHops(p.ASNs))
+	}
+	return rowSeq
+}
+
+// intern returns the index of asns in hs.seqs, adding it if new. h must
+// be hashHops(asns); it only narrows the candidates to compare.
+func (hs *hopSet) intern(asns []uint32, h uint64) int32 {
+	head, ok := hs.head[h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = hs.next[i] {
+		if slices.Equal(hs.seqs[i], asns) {
+			return i
+		}
+	}
+	i := int32(len(hs.seqs))
+	hs.seqs = append(hs.seqs, asns)
+	hs.next = append(hs.next, head)
+	hs.head[h] = i
+	return i
+}
+
+// hashHops is FNV-1a over a hop sequence, one ASN per round.
+func hashHops(asns []uint32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, a := range asns {
+		h = (h ^ uint64(a)) * 1099511628211
+	}
+	return h
 }

@@ -2,6 +2,8 @@ package paths
 
 import (
 	"context"
+	"encoding/binary"
+	"net/netip"
 	"time"
 
 	"github.com/asrank-go/asrank/internal/asn"
@@ -67,6 +69,7 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 	stats := SanitizeStats{Input: len(ds.Paths)}
 	out := &Dataset{Paths: make([]Path, 0, len(ds.Paths))}
 	seen := make(map[string]bool)
+	var key []byte
 
 	type cleanedPath struct {
 		asns []uint32
@@ -99,12 +102,12 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 		}
 		np := Path{Collector: p.Collector, Prefix: p.Prefix, ASNs: cleaned}
 		if !opts.KeepDuplicates {
-			key := dupKey(np)
-			if seen[key] {
+			key = appendDupKey(key[:0], np)
+			if seen[string(key)] {
 				stats.Duplicates++
 				continue
 			}
-			seen[key] = true
+			seen[string(key)] = true
 		}
 		if info&pathPrepended != 0 {
 			stats.PrependingRemoved++
@@ -183,15 +186,30 @@ func sanitizePath(asns []uint32, ixp map[uint32]bool) ([]uint32, pathInfo) {
 	return cleaned, info
 }
 
-func dupKey(p Path) string {
-	// Collector and prefix disambiguate; ASNs appended as raw bytes.
-	b := make([]byte, 0, len(p.Collector)+20+len(p.ASNs)*4)
+// appendDupKey appends the duplicate identity of p to b: the collector
+// (length-prefixed), the prefix in binary — address family, 16 address
+// bytes, bit length — and the hops as raw big-endian bytes. The family
+// byte keeps 1.2.3.0/24 apart from ::ffff:1.2.3.0/24; every invalid
+// prefix encodes alike.
+func appendDupKey(b []byte, p Path) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p.Collector)))
 	b = append(b, p.Collector...)
-	b = append(b, 0)
-	b = append(b, p.Prefix.String()...)
-	b = append(b, 0)
-	for _, a := range p.ASNs {
-		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	pfx := p.Prefix
+	var family byte
+	switch {
+	case !pfx.IsValid():
+		pfx = netip.Prefix{}
+	case pfx.Addr().Is4():
+		family = 4
+	default:
+		family = 6
 	}
-	return string(b)
+	a16 := pfx.Addr().As16()
+	b = append(b, family)
+	b = append(b, a16[:]...)
+	b = append(b, byte(pfx.Bits()))
+	for _, a := range p.ASNs {
+		b = binary.BigEndian.AppendUint32(b, a)
+	}
+	return b
 }

@@ -1,6 +1,8 @@
 package paths
 
 import (
+	"math/rand"
+	"net/netip"
 	"reflect"
 	"testing"
 )
@@ -67,5 +69,88 @@ func TestSanitizeParallelDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(out, wantOut) {
 			t.Fatalf("workers=%d: output dataset differs from sequential run", workers)
 		}
+	}
+}
+
+// TestSanitizeDupKeyPrefixes checks the binary prefix in the duplicate
+// key: an exact (collector, prefix, hops) repeat collapses, while an
+// IPv4 prefix and its IPv4-mapped IPv6 form, the same path under two
+// prefixes, or under two collectors, stay apart.
+func TestSanitizeDupKeyPrefixes(t *testing.T) {
+	row := func(collector, prefix string) Path {
+		return Path{Collector: collector, Prefix: netip.MustParsePrefix(prefix), ASNs: []uint32{10, 20, 30}}
+	}
+	ds := &Dataset{}
+	ds.Add(row("c1", "1.2.3.0/24"))
+	ds.Add(row("c1", "::ffff:1.2.3.0/24"))
+	ds.Add(row("c1", "1.2.3.0/24")) // exact repeat of row 0
+	ds.Add(row("c1", "1.2.4.0/24"))
+	ds.Add(row("c2", "1.2.3.0/24"))
+	ds.Add(row("c1", "::ffff:1.2.3.0/24")) // exact repeat of row 1
+	ds.Add(row("c1", "1.2.3.0/25"))
+
+	out, stats := Sanitize(ds, SanitizeOptions{})
+	if stats.Duplicates != 2 {
+		t.Errorf("Duplicates = %d, want 2", stats.Duplicates)
+	}
+	want := []Path{ds.Paths[0], ds.Paths[1], ds.Paths[3], ds.Paths[4], ds.Paths[6]}
+	if !reflect.DeepEqual(out.Paths, want) {
+		t.Errorf("kept %v, want %v", out.Paths, want)
+	}
+}
+
+// TestSanitizeStatsFixedCorpus pins SanitizeStats over a fixed
+// pseudo-random corpus of every row class — prepending, IXP hops,
+// reserved ASNs, loops, too-short paths, and duplicates under IPv4,
+// IPv4-mapped, IPv6 and invalid prefixes — to the values the
+// string-formatted duplicate key produced.
+func TestSanitizeStatsFixedCorpus(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	prefixes := []netip.Prefix{
+		netip.MustParsePrefix("192.0.2.0/24"),
+		netip.MustParsePrefix("::ffff:192.0.2.0/120"),
+		netip.MustParsePrefix("::ffff:192.0.2.0/24"),
+		netip.MustParsePrefix("192.0.2.0/25"),
+		netip.MustParsePrefix("2001:db8::/32"),
+		{},
+		netip.PrefixFrom(netip.MustParseAddr("198.51.100.0"), 40), // invalid: bits > 32
+	}
+	ds := &Dataset{}
+	for i := 0; i < 4000; i++ {
+		asns := make([]uint32, 1+rng.Intn(5))
+		for j := range asns {
+			switch r := rng.Intn(40); {
+			case r == 0:
+				asns[j] = 64512 // reserved
+			case r == 1:
+				asns[j] = 555 // IXP
+			case r == 2 && j > 0:
+				asns[j] = asns[j-1] // prepending
+			default:
+				asns[j] = uint32(1 + rng.Intn(6))
+			}
+		}
+		ds.Add(Path{
+			Collector: []string{"rrc00", "route-views2"}[rng.Intn(2)],
+			Prefix:    prefixes[rng.Intn(len(prefixes))],
+			ASNs:      asns,
+		})
+	}
+	out, stats := Sanitize(ds, SanitizeOptions{IXPASes: map[uint32]bool{555: true}})
+	want := SanitizeStats{
+		Input:             4000,
+		Kept:              1231,
+		PrependingRemoved: 451,
+		IXPSpliced:        87,
+		ReservedDiscarded: 300,
+		LoopDiscarded:     692,
+		TooShort:          975,
+		Duplicates:        802,
+	}
+	if stats != want {
+		t.Errorf("stats = %+v, want %+v", stats, want)
+	}
+	if out.NumPaths() != stats.Kept {
+		t.Errorf("output has %d paths, stats.Kept = %d", out.NumPaths(), stats.Kept)
 	}
 }

@@ -13,9 +13,11 @@
 //
 //  1. The corpus aggregates (core.CorpusIndex) are commutative
 //     refcounts: applying announce/withdraw deltas in any order leaves
-//     the same aggregate state as folding the equivalent batch corpus,
-//     so core.InferIndexed — the one shared engine both paths execute
-//     — sees identical inputs.
+//     the same key sets as folding the equivalent batch corpus (batch
+//     folds each distinct hop sequence once, the engine each entry, so
+//     raw counts differ), and inference reads only key presence and
+//     distinct-neighbour counts — so core.InferIndexed, the one shared
+//     engine both paths execute, sees identical inputs.
 //  2. Cone credits (cone.PairCounts) are commutative refcounts of the
 //     same crediting walk the batch engine shards; patches read final
 //     refcount state, so within-epoch event order cannot matter.

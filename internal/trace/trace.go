@@ -134,11 +134,17 @@ func ContextWithRemote(ctx context.Context, id TraceID, span uint64) context.Con
 // of a remote parent installed by ContextWithRemote, or as a new root)
 // and returns a context carrying it. On a nil Tracer it returns
 // (ctx, nil) — a single branch, cheap enough for unconditioned
-// instrumentation. The caller must End the span.
+// instrumentation: StartSpan is kept small enough to inline, so the nil
+// branch costs no call. The caller must End the span.
 func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
+	return t.startSpan(ctx, name)
+}
+
+// startSpan is StartSpan's enabled path.
+func (t *Tracer) startSpan(ctx context.Context, name string) (context.Context, *Span) {
 	s := &Span{
 		tracer:    t,
 		Name:      name,
