@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint lint-report bench bench-api bench-store bench-stream bench-drift metrics-lint fuzz-smoke trace-demo
+.PHONY: build test check fmt-check lint lint-report bench bench-api bench-store bench-stream bench-drift metrics-lint fuzz-smoke trace-demo
 
 build:
 	$(GO) build ./...
@@ -9,9 +9,19 @@ test:
 	$(GO) test ./...
 
 # The race-enabled gate the parallel cone engine is held to.
-check: lint
+check: fmt-check lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# gofmt gate: fails listing every Go file gofmt would change. Skips
+# dot-directories (.git, the layerbench build cache) and the analyzer
+# fixtures under internal/lint/checks/testdata, which are lint-test
+# inputs laid out to put findings on fixed lines.
+GOFMT_FILES = $(shell find . -name '*.go' -not -path './.*' -not -path './internal/lint/checks/testdata/*')
+
+fmt-check:
+	@out=$$(gofmt -l $(GOFMT_FILES)); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files needing formatting:"; echo "$$out"; exit 1; fi
 
 # The repo's own analyzer suite (DESIGN.md §9): concurrency,
 # determinism, observability-naming, error-wrapping, publish-freeze,

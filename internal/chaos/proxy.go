@@ -176,7 +176,7 @@ func (p *Proxy) forward(dec *decider, client, backend net.Conn) {
 			changed := corrupt(dec.rng, msg, f.Arg)
 			p.in.m.bytesCorrupted.Add(uint64(changed))
 			backend.Write(msg) //nolint:errcheck
-			return // framing trust is gone; kill the pair
+			return             // framing trust is gone; kill the pair
 		case FaultStall:
 			time.Sleep(time.Duration(f.Arg))
 			return

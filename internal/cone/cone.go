@@ -22,9 +22,10 @@
 package cone
 
 import (
+	"cmp"
 	"context"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -208,7 +209,7 @@ func NewRelations(rels map[paths.Link]topology.Relationship) *Relations {
 		r.custIdx[pi] = append(r.custIdx[pi], ci)
 	}
 	for _, cs := range r.custIdx {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+		slices.Sort(cs)
 	}
 	return r
 }
@@ -572,21 +573,31 @@ func (r *Relations) addChains(cones []asindex.Bitset, asns []uint32, needEntry b
 
 // Rank orders ASes by decreasing cone size, tie-broken by decreasing
 // transit degree (may be nil) and then ascending ASN — the AS Rank
-// ordering.
+// ordering. The ASN tiebreak makes the order total.
 func Rank(sizes map[uint32]int, transitDegree map[uint32]int) []uint32 {
-	out := make([]uint32, 0, len(sizes))
-	for asn := range sizes {
-		out = append(out, asn)
+	keys := make([]rankKey, 0, len(sizes))
+	for asn, size := range sizes {
+		keys = append(keys, rankKey{asn: asn, size: size, transit: transitDegree[asn]})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if sizes[a] != sizes[b] {
-			return sizes[a] > sizes[b]
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		if a.size != b.size {
+			return cmp.Compare(b.size, a.size)
 		}
-		if transitDegree[a] != transitDegree[b] {
-			return transitDegree[a] > transitDegree[b]
+		if a.transit != b.transit {
+			return cmp.Compare(b.transit, a.transit)
 		}
-		return a < b
+		return cmp.Compare(a.asn, b.asn)
 	})
+	out := make([]uint32, len(keys))
+	for i, k := range keys {
+		out[i] = k.asn
+	}
 	return out
+}
+
+// rankKey is one AS with its Rank sort keys, read from the maps once so
+// the comparator does no lookups.
+type rankKey struct {
+	asn           uint32
+	size, transit int
 }

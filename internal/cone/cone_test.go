@@ -2,8 +2,10 @@ package cone
 
 import (
 	"bytes"
+	"math/rand"
 	"net/netip"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -167,6 +169,47 @@ func TestRank(t *testing.T) {
 	rank = Rank(map[uint32]int{7: 1, 5: 1}, nil)
 	if !reflect.DeepEqual(rank, []uint32{5, 7}) {
 		t.Errorf("rank = %v", rank)
+	}
+}
+
+// TestRankMatchesReference checks the keyed sort against the former
+// sort.Slice with map lookups in its comparator, on sizes and transit
+// degrees drawn from small ranges so most ASes tie on both keys, with a
+// transit map that misses some ASes and with none at all.
+func TestRankMatchesReference(t *testing.T) {
+	ref := func(sizes, transit map[uint32]int) []uint32 {
+		out := make([]uint32, 0, len(sizes))
+		for asn := range sizes {
+			out = append(out, asn)
+		}
+		sort.Slice(out, func(i, j int) bool {
+			a, b := out[i], out[j]
+			if sizes[a] != sizes[b] {
+				return sizes[a] > sizes[b]
+			}
+			if transit[a] != transit[b] {
+				return transit[a] > transit[b]
+			}
+			return a < b
+		})
+		return out
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sizes := make(map[uint32]int)
+		transit := make(map[uint32]int)
+		for len(sizes) < 500 {
+			asn := 1 + uint32(rng.Intn(100000))
+			sizes[asn] = 1 + rng.Intn(4)
+			if rng.Intn(4) > 0 {
+				transit[asn] = rng.Intn(3)
+			}
+		}
+		for _, td := range []map[uint32]int{transit, nil} {
+			if got, want := Rank(sizes, td), ref(sizes, td); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: Rank differs from the reference order", seed)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/paths"
 )
@@ -14,7 +14,7 @@ func CliqueFromIndex(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 	opts = opts.withDefaults()
 	if opts.Clique != nil {
 		out := append([]uint32(nil), opts.Clique...)
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 		return out
 	}
 	return inferClique(ix, rank, opts)
@@ -60,7 +60,7 @@ func inferClique(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 		if len(p) == 0 && len(x) == 0 {
 			if containsASN(r, top) && betterClique(r, best) {
 				best = append([]uint32(nil), r...)
-				sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
+				slices.Sort(best)
 			}
 			return
 		}
@@ -118,7 +118,6 @@ func inferClique(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 	if limit > len(rank) {
 		limit = len(rank)
 	}
-	pred2 := ix.predecessorPairs()
 	member := make(map[uint32]bool, len(best))
 	for _, m := range best {
 		member[m] = true
@@ -134,22 +133,31 @@ func inferClique(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 			}
 		}
 		tolerated := len(best) >= 5 && adjacent >= len(best)-1 &&
-			!crossedByMembers(pred2[cand], member)
+			!crossedByMembers(ix, cand, best)
 		if adjacent == len(best) || tolerated {
 			best = append(best, cand)
 			member[cand] = true
 		}
 	}
-	sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
+	slices.Sort(best)
 	return best
 }
 
-// crossedByMembers reports whether any predecessor pair lies entirely in
-// the member set — evidence the AS sits below the clique.
-func crossedByMembers(pairs [][2]uint32, member map[uint32]bool) bool {
-	for _, pr := range pairs {
-		if member[pr[0]] && member[pr[1]] {
-			return true
+// crossedByMembers reports whether cand was ever seen directly behind
+// two members, as the 3-hop window (member, member, cand) of a
+// ranked-layer path — evidence the AS sits below the clique. It is an
+// existence test, so it probes the hop contexts for each ordered member
+// pair instead of gathering cand's predecessors; a Prev of 0 marks a
+// first-hop context, not a 3-hop window.
+func crossedByMembers(ix *CorpusIndex, cand uint32, members []uint32) bool {
+	for _, p := range members {
+		if p == 0 {
+			continue
+		}
+		for _, m := range members {
+			if _, ok := ix.preTriples[Triple{Prev: p, Mid: m, Next: cand}]; ok {
+				return true
+			}
 		}
 	}
 	return false
@@ -165,7 +173,7 @@ func betterClique(a, b []uint32) bool {
 	}
 	// Deterministic tie-break: lexicographically smaller sorted members.
 	as := append([]uint32(nil), a...)
-	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
+	slices.Sort(as)
 	for i := range as {
 		if as[i] != b[i] {
 			return as[i] < b[i]

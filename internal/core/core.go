@@ -21,7 +21,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/asrank-go/asrank/internal/paths"
@@ -192,7 +192,7 @@ func (r *Result) neighborsWhere(asn uint32, want topology.Relationship) []uint32
 			out = append(out, other)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -141,3 +141,35 @@ func BenchmarkCorpusFold(b *testing.B) {
 		benchFold = foldCorpus(context.Background(), clean, opts)
 	}
 }
+
+// benchClique and benchResult keep the benchmarked results live.
+var (
+	benchClique []uint32
+	benchResult *Result
+)
+
+// BenchmarkCliqueFromIndex measures step 3 alone — the Bron–Kerbosch
+// seed clique and its greedy extension — over the ranked layer of
+// BenchmarkCorpusFold's corpus, as each stream epoch reruns it.
+func BenchmarkCliqueFromIndex(b *testing.B) {
+	clean := seedCorpus(b, 1, 1000, 15)
+	f := foldCorpus(context.Background(), clean, Options{}.withDefaults())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchClique = CliqueFromIndex(f.ix, f.rank, Options{})
+	}
+}
+
+// BenchmarkInferIndexed measures the shared engine alone — intra-clique
+// labeling, provider-less detection and steps 5–9 — over the kept layer
+// of BenchmarkCorpusFold's corpus, as each stream epoch reruns it.
+func BenchmarkInferIndexed(b *testing.B) {
+	clean := seedCorpus(b, 1, 1000, 15)
+	f := foldCorpus(context.Background(), clean, Options{}.withDefaults())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchResult = InferIndexed(context.Background(), f.ix, f.rank, f.clique, Options{})
+	}
+}

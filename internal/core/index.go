@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"github.com/asrank-go/asrank/internal/paths"
 )
@@ -217,63 +217,33 @@ func (ix *CorpusIndex) Degrees() map[uint32]int {
 
 // Rank orders every observed AS by decreasing transit degree, then
 // decreasing node degree, then ascending ASN — step 2 over the ranked
-// layer.
+// layer. The ASN tiebreak makes the order total.
 func (ix *CorpusIndex) Rank() []uint32 {
-	out := make([]uint32, 0, len(ix.occur))
+	keys := make([]rankKey, 0, len(ix.occur))
 	for asn := range ix.occur {
-		out = append(out, asn)
+		keys = append(keys, rankKey{asn: asn, transit: ix.transitDeg[asn], degree: ix.deg[asn]})
 	}
-	sort.Slice(out, rankLess(out, ix.transitDeg, ix.deg))
-	return out
-}
-
-// rankLess is the step-2 ordering over s: decreasing transit degree,
-// then decreasing node degree, then ascending ASN.
-func rankLess(s []uint32, transit, degree map[uint32]int) func(i, j int) bool {
-	return func(i, j int) bool {
-		a, b := s[i], s[j]
-		if transit[a] != transit[b] {
-			return transit[a] > transit[b]
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		if a.transit != b.transit {
+			return cmp.Compare(b.transit, a.transit)
 		}
-		if degree[a] != degree[b] {
-			return degree[a] > degree[b]
+		if a.degree != b.degree {
+			return cmp.Compare(b.degree, a.degree)
 		}
-		return a < b
-	}
-}
-
-// sortedTriples returns the keys of a triple map in (Mid, Next, Prev)
-// order, so map iteration order never reaches inference.
-func sortedTriples(m map[Triple]int) []Triple {
-	out := make([]Triple, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Mid != out[j].Mid {
-			return out[i].Mid < out[j].Mid
-		}
-		if out[i].Next != out[j].Next {
-			return out[i].Next < out[j].Next
-		}
-		return out[i].Prev < out[j].Prev
+		return cmp.Compare(a.asn, b.asn)
 	})
+	out := make([]uint32, len(keys))
+	for i, k := range keys {
+		out[i] = k.asn
+	}
 	return out
 }
 
-// predecessorPairs maps each AS to the distinct ordered hop pairs that
-// directly precede it in ranked-layer paths — the clique-extension
-// evidence. Pair order within a slice is deterministic (sorted triple
-// order); consumers only test membership.
-func (ix *CorpusIndex) predecessorPairs() map[uint32][][2]uint32 {
-	out := make(map[uint32][][2]uint32)
-	for _, t := range sortedTriples(ix.preTriples) {
-		if t.Prev == 0 {
-			continue // first-hop context, not a 3-hop window
-		}
-		out[t.Next] = append(out[t.Next], [2]uint32{t.Prev, t.Mid})
-	}
-	return out
+// rankKey is one AS with its step-2 sort keys, read from the index's
+// maps once so the comparator does no lookups.
+type rankKey struct {
+	asn             uint32
+	transit, degree int
 }
 
 // hopSet interns distinct hop sequences in first-seen order. A sequence

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/paths"
@@ -24,6 +25,10 @@ type inferencer struct {
 	idx     *asindex.Index
 	custIdx [][]int32
 
+	// links is the kept layer's link set in (A, B) order, the fixed
+	// order steps 7 and 8 walk.
+	links []paths.Link
+
 	// desc memoizes per-node descendant bitsets for createsCycle;
 	// entries are valid only while descEpoch matches epoch, which is
 	// bumped on every edge insert.
@@ -38,8 +43,8 @@ type inferencer struct {
 	providerless map[uint32]bool
 }
 
-// newInferencer interns the ranked AS set and prepares the mutable
-// inference state.
+// newInferencer interns the ranked AS set, orders the kept links once
+// for steps 7–8, and prepares the mutable inference state.
 func newInferencer(ix *CorpusIndex, opts Options, res *Result, clique map[uint32]bool) *inferencer {
 	idx := asindex.New(res.Rank)
 	return &inferencer{
@@ -49,6 +54,7 @@ func newInferencer(ix *CorpusIndex, opts Options, res *Result, clique map[uint32
 		clique:       clique,
 		idx:          idx,
 		custIdx:      make([][]int32, idx.Len()),
+		links:        paths.SortedLinks(ix.links),
 		desc:         make([]asindex.Bitset, idx.Len()),
 		descEpoch:    make([]uint64, idx.Len()),
 		epoch:        1,
@@ -104,9 +110,7 @@ func (in *inferencer) detectProviderless() {
 	for asn := range in.providerless {
 		in.res.Providerless = append(in.res.Providerless, asn)
 	}
-	sort.Slice(in.res.Providerless, func(i, j int) bool {
-		return in.res.Providerless[i] < in.res.Providerless[j]
-	})
+	slices.Sort(in.res.Providerless)
 }
 
 // setC2P labels provider→customer, updating provenance and the cycle
@@ -173,12 +177,6 @@ func (in *inferencer) descendants(ci int32) asindex.Bitset {
 	return b
 }
 
-// triplet is one (previous, next) context for a middle AS in some path.
-type triplet struct {
-	prev uint32 // 0 when the middle AS is the first hop (the VP)
-	next uint32
-}
-
 // topDown implements step 5: visiting ASes in rank order, a neighbor
 // that follows AS z in a path is inferred to be z's customer when the
 // route demonstrably entered z "from above" — z is a clique member, or
@@ -188,39 +186,26 @@ type triplet struct {
 // The pass repeats until a fixpoint (bounded by TopDownPasses), since a
 // later AS's labels can unlock an earlier AS's triplets.
 func (in *inferencer) topDown() {
-	// Collect the distinct triplets per middle AS from the kept-layer
-	// contexts, keyed by interned position: every ranked AS has a dense
-	// slot, so the per-AS lookup in the fixpoint loop is an index, not a
-	// map probe. Appending in globally sorted (Mid, Next, Prev) order
-	// leaves each per-AS slice already in the deterministic (next, prev)
-	// order the fixpoint visits.
-	sortedTrips := make([][]triplet, in.idx.Len())
-	for _, t := range sortedTriples(in.ix.triples) {
-		zi, ok := in.idx.Pos(t.Mid)
-		if !ok {
-			continue // not ranked: cannot appear in Rank order below
-		}
-		sortedTrips[zi] = append(sortedTrips[zi], triplet{prev: t.Prev, next: t.Next})
-	}
-
+	trips := tripletBuckets(in.ix.triples, in.idx)
 	for pass := 0; pass < in.opts.TopDownPasses; pass++ {
 		changed := false
 		for _, z := range in.res.Rank {
 			zi, _ := in.idx.Pos(z)
-			for _, t := range sortedTrips[zi] {
-				if t.next == z || in.clique[t.next] || in.providerless[t.next] {
+			for _, t := range trips[zi] {
+				next, prev := uint32(t>>32), uint32(t)
+				if next == z || in.clique[next] || in.providerless[next] {
 					continue
 				}
-				if in.labeled(z, t.next) {
+				if in.labeled(z, next) {
 					continue
 				}
-				if !in.enteredFromAbove(z, t.prev) {
+				if !in.enteredFromAbove(z, prev) {
 					continue
 				}
-				if in.createsCycle(z, t.next) {
+				if in.createsCycle(z, next) {
 					continue
 				}
-				in.setC2P(z, t.next, StepTopDown)
+				in.setC2P(z, next, StepTopDown)
 				changed = true
 			}
 		}
@@ -228,6 +213,27 @@ func (in *inferencer) topDown() {
 			break
 		}
 	}
+}
+
+// tripletBuckets groups hop contexts by the interned position of their
+// middle AS, each packed as next<<32 | prev (prev is 0 when the middle
+// AS is the VP); contexts whose middle AS is not interned are dropped.
+// Contexts are distinct map keys, so sorting a bucket's packed words
+// gives one fixed (next, prev) order for step 5 to visit, whatever the
+// map order.
+func tripletBuckets(triples map[Triple]int, idx *asindex.Index) [][]uint64 {
+	buckets := make([][]uint64, idx.Len())
+	for t := range triples {
+		zi, ok := idx.Pos(t.Mid)
+		if !ok {
+			continue
+		}
+		buckets[zi] = append(buckets[zi], uint64(t.Next)<<32|uint64(t.Prev))
+	}
+	for zi := range buckets {
+		slices.Sort(buckets[zi])
+	}
+	return buckets
 }
 
 // enteredFromAbove reports whether a route observed at z arrived from a
@@ -266,11 +272,11 @@ func (in *inferencer) vpPass() {
 	for k := range in.ix.vpFirstHops {
 		hops = append(hops, k)
 	}
-	sort.Slice(hops, func(i, j int) bool {
-		if hops[i].VP != hops[j].VP {
-			return hops[i].VP < hops[j].VP
+	slices.SortFunc(hops, func(a, b VPPair) int {
+		if a.VP != b.VP {
+			return cmp.Compare(a.VP, b.VP)
 		}
-		return hops[i].Other < hops[j].Other
+		return cmp.Compare(a.Other, b.Other)
 	})
 	threshold := in.opts.PartialFeedOriginFrac * float64(len(in.ix.origins))
 	for _, k := range hops {
@@ -292,7 +298,7 @@ func (in *inferencer) vpPass() {
 // a clique member is that member's customer — a stub cannot be peering
 // with the top of the hierarchy.
 func (in *inferencer) stubClique() {
-	for _, l := range paths.SortedLinks(in.ix.links) {
+	for _, l := range in.links {
 		if _, done := in.res.Rels[l]; done {
 			continue
 		}
@@ -326,14 +332,14 @@ func (in *inferencer) fold() {
 	// stale pre-pass snapshot: a network whose other links fold away
 	// earlier in the same pass is a stub, not peering-rich.
 	unlabeled := make(map[uint32]int)
-	for _, l := range paths.SortedLinks(in.ix.links) {
+	for _, l := range in.links {
 		if _, done := in.res.Rels[l]; !done {
 			unlabeled[l.A]++
 			unlabeled[l.B]++
 		}
 	}
 	const peeringRich = 6 // more unlabeled links than any plausible stub
-	for _, l := range paths.SortedLinks(in.ix.links) {
+	for _, l := range in.links {
 		if _, done := in.res.Rels[l]; done {
 			continue
 		}

@@ -6,9 +6,10 @@
 package paths
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // Path is one AS path as seen at a collector: ASNs[0] is the VP (the
@@ -97,17 +98,17 @@ func (d *Dataset) Links() map[Link]int {
 	return links
 }
 
-// SortedLinks returns the keys of Links in deterministic order.
+// SortedLinks returns the keys of Links in deterministic (A, B) order.
 func SortedLinks(links map[Link]int) []Link {
 	out := make([]Link, 0, len(links))
 	for l := range links {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+	slices.SortFunc(out, func(x, y Link) int {
+		if x.A != y.A {
+			return cmp.Compare(x.A, y.A)
 		}
-		return out[i].B < out[j].B
+		return cmp.Compare(x.B, y.B)
 	})
 	return out
 }

@@ -30,9 +30,11 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -576,23 +578,28 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Corpus() *paths.Dataset {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	keys := make([]ribKey, 0, len(e.rib))
-	for k := range e.rib {
-		keys = append(keys, k)
+	// Each prefix is formatted once, not per comparison: the order is
+	// the prefixes' string order, which differs from netip's own.
+	type corpusKey struct {
+		rib    ribKey
+		prefix string
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.collector != b.collector {
-			return a.collector < b.collector
+	keys := make([]corpusKey, 0, len(e.rib))
+	for k := range e.rib {
+		keys = append(keys, corpusKey{rib: k, prefix: k.prefix.String()})
+	}
+	slices.SortFunc(keys, func(a, b corpusKey) int {
+		if a.rib.collector != b.rib.collector {
+			return strings.Compare(a.rib.collector, b.rib.collector)
 		}
-		if a.vp != b.vp {
-			return a.vp < b.vp
+		if a.rib.vp != b.rib.vp {
+			return cmp.Compare(a.rib.vp, b.rib.vp)
 		}
-		return a.prefix.String() < b.prefix.String()
+		return strings.Compare(a.prefix, b.prefix)
 	})
 	ds := &paths.Dataset{}
 	for _, k := range keys {
-		en := e.rib[k]
+		en := e.rib[k.rib]
 		if en == nil {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -70,6 +71,13 @@ func (h *History) extend(info EpochInfo, prev, snap *Snapshot) *History {
 	}
 	if prev != nil {
 		s.changes = relChanges(prev, snap)
+	}
+	// Consecutive epochs usually keep their AS set (1% route churn
+	// leaves all 2000 ASes of the stream benchmark in place), so an
+	// equal column shares its predecessor's array instead of holding
+	// its own copy for the life of the store.
+	if k := len(h.series); k > 0 && slices.Equal(h.series[k-1].asns, s.asns) {
+		s.asns = h.series[k-1].asns
 	}
 
 	epochs := append(append([]EpochInfo(nil), h.epochs...), info)
