@@ -8,10 +8,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The race-enabled gate the parallel cone engine is held to.
+# The race-enabled gate the parallel cone engine is held to. The
+# benchmark is its own module over this one: vetting and short-testing
+# it here makes an internal API change that breaks its build fail the
+# check, not the benchmark run.
 check: fmt-check lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd layerbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # gofmt gate: fails listing every Go file gofmt would change. Skips
 # dot-directories (.git, the layerbench build cache) and the analyzer

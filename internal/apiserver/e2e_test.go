@@ -18,7 +18,7 @@ import (
 func e2eServer(t *testing.T, d *Data, shed ShedPolicy) (*httptest.Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	srv := httptest.NewServer(NewServer(d, Config{Registry: reg, Shed: shed}))
+	srv := httptest.NewServer(NewServerWithStore(d, nil, Config{Registry: reg, Shed: shed}))
 	t.Cleanup(srv.Close)
 	return srv, reg
 }
@@ -293,7 +293,7 @@ func TestShedVisibleEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	shed := ShedPolicy{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 30 * time.Second, RetryAfter: 2 * time.Second}
-	srv := httptest.NewUnstartedServer(NewServer(d, Config{Registry: reg, Shed: shed}))
+	srv := httptest.NewUnstartedServer(NewServerWithStore(d, nil, Config{Registry: reg, Shed: shed}))
 	srv.Listener = slowClientListener{srv.Listener}
 	srv.Start()
 	t.Cleanup(srv.Close)

@@ -31,7 +31,7 @@ func metricsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
 	res := core.Infer(clean, core.Options{})
 	reg := obs.NewRegistry()
-	srv := httptest.NewServer(NewHandlerWith(Build(res), reg))
+	srv := httptest.NewServer(NewServerWithStore(Build(res), nil, Config{Registry: reg, Shed: DefaultShedPolicy()}))
 	t.Cleanup(srv.Close)
 	return srv, reg
 }
@@ -199,7 +199,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// default-registry handler exactly as asrankd wires it.
 	res := core.Infer(sim.Dataset, core.Options{Sanitize: true, Workers: 4})
 	data := Build(res)
-	srv := httptest.NewServer(LogRequests(NewHandler(data)))
+	srv := httptest.NewServer(LogRequests(NewServerWithStore(data, nil, Config{Shed: DefaultShedPolicy()})))
 	defer srv.Close()
 	for _, path := range []string{"/api/v1/health", "/api/v1/asns?limit=5", "/api/v1/asns/0"} {
 		get(t, srv.URL+path)

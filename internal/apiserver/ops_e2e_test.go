@@ -35,7 +35,7 @@ func TestExemplarResolvesToFlightRecorder(t *testing.T) {
 	d := Build(res)
 	reg := obs.NewRegistry()
 	tracer := trace.New(trace.Options{})
-	srv := httptest.NewServer(NewServer(d, Config{Registry: reg, Tracer: tracer, Shed: DefaultShedPolicy()}))
+	srv := httptest.NewServer(NewServerWithStore(d, nil, Config{Registry: reg, Tracer: tracer, Shed: DefaultShedPolicy()}))
 	t.Cleanup(srv.Close)
 
 	resp := fetch(t, srv.URL+"/api/v1/asns/"+itoa(res.Clique[0]), nil)
@@ -139,7 +139,7 @@ func TestReadyzUnderShedStorm(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle("GET /healthz", health.Healthz())
 	mux.Handle("GET /readyz", health.Readyz())
-	mux.Handle("/", NewServer(d, Config{Registry: reg, Metrics: m, Shed: shed}))
+	mux.Handle("/", NewServerWithStore(d, nil, Config{Registry: reg, Metrics: m, Shed: shed}))
 	srv := httptest.NewUnstartedServer(mux)
 	srv.Listener = slowClientListener{srv.Listener}
 	srv.Start()

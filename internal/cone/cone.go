@@ -27,7 +27,6 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
-	"time"
 
 	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/paths"
@@ -280,12 +279,10 @@ func (r *Relations) RecursiveBits() *BitSets {
 	defer r.mu.Unlock()
 	if r.recBits == nil {
 		coneMemo.With("recursive", "miss").Inc()
-		t0 := time.Now()
-		ctx, span := trace.StartSpan(r.buildCtx(), "cone.build")
-		span.SetAttr("engine", "recursive")
+		ctx, stage := trace.StartStage(r.buildCtx(), "cone.build", coneBuildDuration.With("recursive"))
+		stage.Span().SetAttr("engine", "recursive")
 		r.recBits = r.computeRecursiveBits(ctx)
-		span.End()
-		coneBuildDuration.With("recursive").ObserveSince(t0)
+		stage.End()
 	} else {
 		coneMemo.With("recursive", "hit").Inc()
 	}
@@ -432,13 +429,11 @@ func (r *Relations) observedBitsCached(ds *paths.Dataset, needEntry bool) *BitSe
 	b, ok := r.obsBits[k]
 	if !ok {
 		coneMemo.With(engine, "miss").Inc()
-		t0 := time.Now()
-		ctx, span := trace.StartSpan(r.buildCtx(), "cone.build")
-		span.SetAttr("engine", engine)
-		span.SetAttrInt("paths", int64(len(ds.Paths)))
+		ctx, stage := trace.StartStage(r.buildCtx(), "cone.build", coneBuildDuration.With(engine))
+		stage.Span().SetAttr("engine", engine)
+		stage.Span().SetAttrInt("paths", int64(len(ds.Paths)))
 		b = r.observedBits(ctx, ds, needEntry)
-		span.End()
-		coneBuildDuration.With(engine).ObserveSince(t0)
+		stage.End()
 		if r.obsBits == nil {
 			r.obsBits = make(map[obsKey]*BitSets)
 		}

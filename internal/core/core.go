@@ -22,7 +22,6 @@ package core
 import (
 	"context"
 	"slices"
-	"time"
 
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -240,22 +239,17 @@ func Infer(ds *paths.Dataset, opts Options) *Result {
 // the per-step metrics.
 func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 	opts = opts.withDefaults()
-	t0 := time.Now()
 	inferRuns.Inc()
-	ctx, span := trace.StartSpan(ctx, "core.infer")
-	defer span.End()
-	span.SetAttrInt("paths", int64(len(ds.Paths)))
+	ctx, infer := trace.StartStage(ctx, "core.infer", inferDuration)
+	defer infer.End()
+	infer.Span().SetAttrInt("paths", int64(len(ds.Paths)))
 	var st paths.SanitizeStats
 	if opts.Sanitize {
-		s0 := time.Now()
-		sctx, sspan := trace.StartSpan(ctx, "core.infer.sanitize")
+		sctx, stage := trace.StartStage(ctx, "core.infer.sanitize", inferStepDuration.With("sanitize"))
 		ds, st = paths.SanitizeCtx(sctx, ds, paths.SanitizeOptions{IXPASes: opts.IXPASes, Workers: opts.Workers})
-		sspan.End()
-		inferStepDuration.With("sanitize").ObserveSince(s0)
+		stage.End()
 	}
-	res := inferSanitized(ctx, ds, opts, st)
-	inferDuration.ObserveSince(t0)
-	return res
+	return inferSanitized(ctx, ds, opts, st)
 }
 
 func inferSanitized(ctx context.Context, ds *paths.Dataset, opts Options, sanStats paths.SanitizeStats) *Result {
@@ -291,55 +285,46 @@ type corpusFold struct {
 // sequence; the kept corpus and the dropped count are per row, in
 // input order. opts must already carry its defaults.
 func foldCorpus(ctx context.Context, ds *paths.Dataset, opts Options) corpusFold {
-	stagePre := func(spanName, step string, fn func()) {
-		_, span := trace.StartSpan(ctx, spanName)
-		t0 := time.Now()
-		fn()
-		inferStepDuration.With(step).ObserveSince(t0)
-		span.End()
-	}
-
 	f := corpusFold{ix: NewCorpusIndex()}
 	var hs hopSet
-	var rowSeq []int32
 
 	// Step 2: ranking.
-	stagePre("core.infer.rank", "rank", func() {
-		rowSeq = hs.internRows(ds)
-		for _, seq := range hs.seqs {
-			f.ix.AddPath(seq, 1)
-		}
-		f.rank = f.ix.Rank()
-	})
+	_, stage := trace.StartStage(ctx, "core.infer.rank", inferStepDuration.With("rank"))
+	rowSeq := hs.internRows(ds)
+	for _, seq := range hs.seqs {
+		f.ix.AddPath(seq, 1)
+	}
+	f.rank = f.ix.Rank()
+	stage.End()
 
 	// Step 3: clique.
-	stagePre("core.infer.clique", "clique", func() {
-		f.clique = CliqueFromIndex(f.ix, f.rank, opts)
-	})
+	_, stage = trace.StartStage(ctx, "core.infer.clique", inferStepDuration.With("clique"))
+	f.clique = CliqueFromIndex(f.ix, f.rank, opts)
+	stage.End()
 	cliqueSet := make(map[uint32]bool, len(f.clique))
 	for _, c := range f.clique {
 		cliqueSet[c] = true
 	}
 
 	// Step 4: discard poisoned paths and build the kept layer.
-	stagePre("core.infer.poison", "poison", func() {
-		poisonedSeq := make([]bool, len(hs.seqs))
-		for i, seq := range hs.seqs {
-			if poisoned(seq, cliqueSet) {
-				poisonedSeq[i] = true
-			} else {
-				f.ix.AddKept(seq, 1)
-			}
+	_, stage = trace.StartStage(ctx, "core.infer.poison", inferStepDuration.With("poison"))
+	poisonedSeq := make([]bool, len(hs.seqs))
+	for i, seq := range hs.seqs {
+		if poisoned(seq, cliqueSet) {
+			poisonedSeq[i] = true
+		} else {
+			f.ix.AddKept(seq, 1)
 		}
-		f.kept = &paths.Dataset{Paths: make([]paths.Path, 0, len(ds.Paths))}
-		for r, p := range ds.Paths {
-			if poisonedSeq[rowSeq[r]] {
-				f.dropped++
-				continue
-			}
-			f.kept.Add(p)
+	}
+	f.kept = &paths.Dataset{Paths: make([]paths.Path, 0, len(ds.Paths))}
+	for r, p := range ds.Paths {
+		if poisonedSeq[rowSeq[r]] {
+			f.dropped++
+			continue
 		}
-	})
+		f.kept.Add(p)
+	}
+	stage.End()
 	return f
 }
 
@@ -372,23 +357,20 @@ func InferIndexed(ctx context.Context, ix *CorpusIndex, rank, clique []uint32, o
 		cliqueSet[c] = true
 	}
 
-	// stage wraps one pipeline step with per-step duration and
-	// links-labeled metrics plus a trace span; the labeled watermark
-	// attributes each new entry in res.Steps to the stage that created
-	// it. spanName is a literal at every call site so the obsnames
-	// analyzer can vet it.
+	// stage runs one pipeline step as a trace stage and counts the
+	// links it labeled; the labeled watermark attributes each new entry
+	// in res.Steps to the stage that created it. spanName is a literal
+	// at every call site so the obsnames analyzer can vet it.
 	labeled := 0
 	stage := func(spanName, step string, fn func()) {
-		_, span := trace.StartSpan(ctx, spanName)
-		t0 := time.Now()
+		_, st := trace.StartStage(ctx, spanName, inferStepDuration.With(step))
 		fn()
-		inferStepDuration.With(step).ObserveSince(t0)
 		if n := len(res.Steps); n > labeled {
 			inferStepLinks.With(step).Add(uint64(n - labeled))
-			span.SetAttrInt("links_labeled", int64(n-labeled))
+			st.Span().SetAttrInt("links_labeled", int64(n-labeled))
 			labeled = n
 		}
-		span.End()
+		st.End()
 	}
 
 	// Label intra-clique links p2p.

@@ -28,11 +28,11 @@ import (
 // Registrations in _test.go files are exempt (tests exercise the
 // registry itself, including its panics on bad names).
 //
-// The same analyzer covers span names handed to trace.StartSpan (the
-// Tracer method and the package-level function alike): a literal name
-// must be two or more dot-separated lower_snake segments
-// (subsystem.operation..., e.g. core.infer.rank), and a name built at
-// the call site from runtime data — string concatenation or
+// The same analyzer covers span names handed to trace.StartSpan and
+// trace.StartStage (the Tracer methods and the package-level functions
+// alike): a literal name must be two or more dot-separated lower_snake
+// segments (subsystem.operation..., e.g. core.infer.rank), and a name
+// built at the call site from runtime data — string concatenation or
 // fmt.Sprint* — is flagged as a cardinality bomb: per-entity span
 // names shatter trace aggregation, so variable data belongs in
 // SetAttr, not the name. A plain variable is allowed (helpers such as
@@ -47,7 +47,7 @@ var ObsNames = &analysis.Analyzer{
 	Name: "obsnames",
 	Doc: "statically checks obs metric and label name literals against " +
 		"the Prometheus grammar and the asrank_<subsystem>_... house style, " +
-		"and trace span name literals against the dot-separated lower_snake grammar",
+		"and trace span and stage name literals against the dot-separated lower_snake grammar",
 	Run: runObsNames,
 }
 
@@ -81,7 +81,8 @@ func runObsNames(pass *analysis.Pass) error {
 		if !ok {
 			return
 		}
-		if sel.Sel.Name == "StartSpan" && isTraceFunc(pass.TypesInfo, sel) && len(call.Args) >= 2 {
+		if (sel.Sel.Name == "StartSpan" || sel.Sel.Name == "StartStage") &&
+			isTraceFunc(pass.TypesInfo, sel) && len(call.Args) >= 2 {
 			checkDottedName(pass, call.Args[1], "span name")
 			return
 		}
@@ -208,9 +209,9 @@ func checkHelp(pass *analysis.Pass, arg ast.Expr) {
 }
 
 // isTraceFunc reports whether the selected function or method is
-// defined by a package named trace — covering both (*trace.Tracer).
-// StartSpan and the package-level trace.StartSpan, and excluding
-// same-named methods on unrelated types.
+// defined by a package named trace — covering both the *trace.Tracer
+// methods and the package-level functions, and excluding same-named
+// methods on unrelated types.
 func isTraceFunc(info *types.Info, sel *ast.SelectorExpr) bool {
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil {

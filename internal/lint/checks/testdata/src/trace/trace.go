@@ -1,9 +1,15 @@
 // Package trace is a minimal stand-in for the repo's span tracer,
-// giving the obsnames golden package a StartSpan method and function in
-// a package named trace — the shape the span-name arm keys on.
+// giving the obsnames golden package StartSpan and StartStage methods
+// and functions in a package named trace — the shape the span-name arm
+// keys on.
 package trace
 
-import "context"
+import (
+	"context"
+	"time"
+
+	"obs"
+)
 
 type Tracer struct{}
 
@@ -24,3 +30,16 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 func (s *Span) SetAttr(key, value string) {}
 
 func (s *Span) End() {}
+
+type Stage struct{}
+
+func (t *Tracer) StartStage(ctx context.Context, name string, h *obs.Histogram) (context.Context, Stage) {
+	return ctx, Stage{}
+}
+
+// StartStage mirrors the real package-level stage primitive.
+func StartStage(ctx context.Context, name string, h *obs.Histogram) (context.Context, Stage) {
+	return ctx, Stage{}
+}
+
+func (st Stage) End() time.Duration { return 0 }

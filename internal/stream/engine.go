@@ -30,11 +30,8 @@
 package stream
 
 import (
-	"cmp"
 	"context"
 	"net/netip"
-	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -44,6 +41,7 @@ import (
 	"github.com/asrank-go/asrank/internal/oplog"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
+	"github.com/asrank-go/asrank/internal/trace"
 	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
@@ -164,7 +162,7 @@ type Engine struct {
 
 type pfxKey struct {
 	origin uint32
-	prefix string
+	prefix netip.Prefix
 }
 
 // New returns an empty engine.
@@ -298,7 +296,7 @@ func (e *Engine) keepLocked(en *entry) {
 		set[en] = struct{}{}
 	}
 	if en.path.Prefix.IsValid() {
-		k := pfxKey{origin: en.path.Origin(), prefix: en.path.Prefix.String()}
+		k := pfxKey{origin: en.path.Origin(), prefix: en.path.Prefix}
 		e.pfxRef[k]++
 		if e.pfxRef[k] == 1 {
 			e.pfxCount[k.origin]++
@@ -319,7 +317,7 @@ func (e *Engine) unkeepLocked(en *entry) {
 		}
 	}
 	if en.path.Prefix.IsValid() {
-		k := pfxKey{origin: en.path.Origin(), prefix: en.path.Prefix.String()}
+		k := pfxKey{origin: en.path.Origin(), prefix: en.path.Prefix}
 		e.pfxRef[k]--
 		if e.pfxRef[k] == 0 {
 			delete(e.pfxRef, k)
@@ -367,8 +365,13 @@ func (e *Engine) Commit(ctx context.Context) *warehouse.Snapshot {
 // CommitReport, already appended to the /debug/epochs ring and (when a
 // journal is configured) journaled as a stream.commit event. The
 // report is instrumentation about the commit, never an input to it.
+//
+// The commit runs as a stream.commit trace stage with one child stage
+// per phase (stream.commit.rank_clique, .infer, .credit, .slab,
+// .compose); each phase's duration feeds its span, the phase histogram
+// and the report's Phases field from the same clock reads.
 func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitReport) {
-	tTotal := time.Now()
+	ctx, commit := trace.StartStage(ctx, "stream.commit", commitDuration)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.Epochs++
@@ -388,7 +391,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	// Steps 2–3 always re-run: rank and clique are global, cheap
 	// relative to crediting, and the dirty-region rule hinges on the
 	// clique comparison below.
-	tRank := time.Now()
+	_, stage := trace.StartStage(ctx, "stream.commit.rank_clique", commitPhaseDuration.With("rank_clique"))
 	rank := e.ix.Rank()
 	clique := core.CliqueFromIndex(e.ix, rank, e.opts.Infer)
 
@@ -430,19 +433,19 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 			}
 		}
 	}
-	rep.record("rank_clique", time.Since(tRank))
+	rep.Phases.RankClique = millis(stage.End())
 
 	// Steps 5–9 over the kept-layer aggregates — the same engine the
 	// batch path executes.
-	tInfer := time.Now()
-	res := core.InferIndexed(ctx, e.ix, rank, clique, e.opts.Infer)
-	rep.record("infer", time.Since(tInfer))
+	inferCtx, stage := trace.StartStage(ctx, "stream.commit.infer", commitPhaseDuration.With("infer"))
+	res := core.InferIndexed(inferCtx, e.ix, rank, clique, e.opts.Infer)
+	rep.Phases.Infer = millis(stage.End())
 
 	// Cone crediting. Removed paths leave under the relationships they
 	// were credited with; paths touching a changed link are re-walked;
 	// everything else keeps its contribution (leg 3 of the package
 	// contract).
-	tCredit := time.Now()
+	_, stage = trace.StartStage(ctx, "stream.commit.credit", commitPhaseDuration.With("credit"))
 	oldRel := relLookup(e.rels)
 	newRel := relLookup(res.Rels)
 	rep.UncreditedPaths = len(e.uncredit)
@@ -486,7 +489,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	e.pendingCredit = make(map[*entry]struct{})
 	e.rels = res.Rels
 	e.clique = append([]uint32(nil), clique...)
-	rep.record("credit", time.Since(tCredit))
+	rep.Phases.Credit = millis(stage.End())
 
 	// The serving index is the sorted endpoint set of the labeled
 	// links — identical to what cone.NewRelations interns batch-side.
@@ -497,7 +500,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	}
 	idx := asindex.New(asns)
 
-	tSlab := time.Now()
+	_, stage = trace.StartStage(ctx, "stream.commit.slab", commitPhaseDuration.With("slab"))
 	var slab []uint64
 	switch {
 	// rebuild is always true on the first epoch, so e.prevIdx is
@@ -517,9 +520,9 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	}
 	e.prevIdx = idx
 	e.prevSlab = slab
-	rep.record("slab", time.Since(tSlab))
+	rep.Phases.Slab = millis(stage.End())
 
-	tCompose := time.Now()
+	_, stage = trace.StartStage(ctx, "stream.commit.compose", commitPhaseDuration.With("compose"))
 	snap := warehouse.Compose(warehouse.ComposeInput{
 		Index:         idx,
 		ConeWords:     slab,
@@ -532,14 +535,16 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		PathCount:     e.ix.PathCount(),
 		Workers:       e.opts.Workers,
 	})
-	rep.record("compose", time.Since(tCompose))
+	rep.Phases.Compose = millis(stage.End())
 
 	rep.Entries = len(e.entries)
 	rep.RIBRoutes = len(e.rib)
+	total := commit.End()
+	rep.TotalMillis = millis(total)
 	if !firstPendingAt.IsZero() {
-		rep.record("watermark", time.Since(firstPendingAt))
+		// The watermark ends at the commit's own end clock read.
+		rep.WatermarkMillis = millis(commit.Start().Add(total).Sub(firstPendingAt))
 	}
-	rep.record("total", time.Since(tTotal))
 
 	e.reports = append(e.reports, rep)
 	if len(e.reports) > maxReports {
@@ -567,45 +572,6 @@ func (e *Engine) Stats() Stats {
 	s.Entries = len(e.entries)
 	s.RIBRoutes = len(e.rib)
 	return s
-}
-
-// Corpus materializes the currently announced routes as a batch
-// dataset in deterministic (collector, vp, prefix) order. Rows carry
-// the per-path sanitized hops (cleaning is idempotent), so feeding
-// them to the batch pipeline with Sanitize enabled reconstructs — via
-// the duplicate collapse — exactly the distinct corpus the engine has
-// folded.
-func (e *Engine) Corpus() *paths.Dataset {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Each prefix is formatted once, not per comparison: the order is
-	// the prefixes' string order, which differs from netip's own.
-	type corpusKey struct {
-		rib    ribKey
-		prefix string
-	}
-	keys := make([]corpusKey, 0, len(e.rib))
-	for k := range e.rib {
-		keys = append(keys, corpusKey{rib: k, prefix: k.prefix.String()})
-	}
-	slices.SortFunc(keys, func(a, b corpusKey) int {
-		if a.rib.collector != b.rib.collector {
-			return strings.Compare(a.rib.collector, b.rib.collector)
-		}
-		if a.rib.vp != b.rib.vp {
-			return cmp.Compare(a.rib.vp, b.rib.vp)
-		}
-		return strings.Compare(a.prefix, b.prefix)
-	})
-	ds := &paths.Dataset{}
-	for _, k := range keys {
-		en := e.rib[k.rib]
-		if en == nil {
-			continue
-		}
-		ds.Add(paths.Path{Collector: en.path.Collector, Prefix: en.path.Prefix, ASNs: en.path.ASNs})
-	}
-	return ds
 }
 
 func equalASNSlices(a, b []uint32) bool {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
+
+	"github.com/asrank-go/asrank/internal/obs"
 )
 
 // This file is the engine's provenance layer. The paper the pipeline
@@ -38,9 +40,19 @@ const (
 	SlabReused  = "reused"  // previous slab untouched
 )
 
+// Commit metrics: the stream.commit stage and its phase stages observe
+// these with the same durations the CommitReport carries.
+var (
+	commitDuration = obs.Default().Histogram("asrank_stream_commit_duration_seconds",
+		"Wall time of one stream epoch commit.", obs.DurationBuckets)
+	commitPhaseDuration = obs.Default().HistogramVec("asrank_stream_commit_phase_duration_seconds",
+		"Wall time of one stream commit phase.", obs.DurationBuckets, "phase")
+)
+
 // PhaseMillis breaks one commit into its serial phases, in wall-clock
-// milliseconds. Instrumentation only: phase times never influence what
-// the engine computes.
+// milliseconds, each the duration of its stream.commit.* stage.
+// Instrumentation only: phase times never influence what the engine
+// computes.
 type PhaseMillis struct {
 	RankClique float64 `json:"rankCliqueMillis"` // steps 2–3 + rebuild re-flagging
 	Infer      float64 `json:"inferMillis"`      // steps 5–9 over the kept layer
@@ -82,28 +94,8 @@ type CommitReport struct {
 	WatermarkMillis float64     `json:"watermarkMillis"` // 0 when no events were pending
 }
 
-// record is the report's duration sink (the sanctioned consumer of
-// wall-clock reads in this deterministic package — see the
-// nodeterminismleak analyzer). Phase names match PhaseMillis fields.
-func (r *CommitReport) record(phase string, d time.Duration) {
-	ms := float64(d.Nanoseconds()) / 1e6
-	switch phase {
-	case "rank_clique":
-		r.Phases.RankClique = ms
-	case "infer":
-		r.Phases.Infer = ms
-	case "credit":
-		r.Phases.Credit = ms
-	case "slab":
-		r.Phases.Slab = ms
-	case "compose":
-		r.Phases.Compose = ms
-	case "total":
-		r.TotalMillis = ms
-	case "watermark":
-		r.WatermarkMillis = ms
-	}
-}
+// millis converts a stage duration to a report field.
+func millis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // Reports returns the engine's trailing commit reports, oldest first.
 func (e *Engine) Reports() []CommitReport {

@@ -46,6 +46,22 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
+// appendHistogram and decodeHistogram are the stage histograms of
+// Append and Snapshot; nil on a nil receiver.
+func (m *Metrics) appendHistogram() *obs.Histogram {
+	if m == nil {
+		return nil
+	}
+	return m.appendSeconds
+}
+
+func (m *Metrics) decodeHistogram() *obs.Histogram {
+	if m == nil {
+		return nil
+	}
+	return m.decodeSeconds
+}
+
 func (m *Metrics) observeAppend(bytes int) {
 	if m == nil {
 		return

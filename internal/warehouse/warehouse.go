@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"github.com/asrank-go/asrank/internal/obs"
 	"github.com/asrank-go/asrank/internal/trace"
@@ -96,7 +95,7 @@ type Store struct {
 // so a crash mid-append leaves a store that reopens at the last good
 // epoch.
 func Open(dir string, opts Options) (*Store, error) {
-	ctx, span := startSpan(opts.Tracer, context.Background(), "warehouse.open")
+	ctx, span := opts.Tracer.StartSpan(context.Background(), "warehouse.open")
 	defer span.End()
 	span.SetAttr("dir", dir)
 
@@ -220,9 +219,8 @@ func (st *Store) Append(snap *Snapshot, label, etag string) (EpochInfo, error) {
 // entry and returned by Epochs/Latest, but never interpreted — epoch
 // identity (segment hash, ETag) is unchanged by it.
 func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMessage) (EpochInfo, error) {
-	t0 := time.Now()
-	_, span := startSpan(st.tracer, context.Background(), "warehouse.append")
-	defer span.End()
+	_, stage := st.tracer.StartStage(context.Background(), "warehouse.append", st.metrics.appendHistogram())
+	defer stage.End()
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -269,9 +267,7 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 
 	st.metrics.observeAppend(len(img))
 	st.metrics.setLive(len(st.epochs), st.totalBytesLocked())
-	if st.metrics != nil {
-		st.metrics.appendSeconds.ObserveSince(t0)
-	}
+	span := stage.Span()
 	span.SetAttrInt("epoch", int64(id))
 	span.SetAttr("kind", kindName)
 	span.SetAttrInt("bytes", int64(len(img)))
@@ -345,13 +341,9 @@ func (st *Store) Latest() (*Snapshot, EpochInfo, bool) {
 
 // Snapshot materializes epoch id by decoding from the nearest full
 // checkpoint at or below id and replaying the delta chain — bounded by
-// the checkpoint cadence, never by store length.
+// the checkpoint cadence, never by store length. The latest epoch is
+// already decoded and is returned without a warehouse.snapshot stage.
 func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
-	t0 := time.Now()
-	_, span := startSpan(st.tracer, context.Background(), "warehouse.snapshot")
-	defer span.End()
-	span.SetAttrInt("epoch", int64(id))
-
 	st.mu.RLock()
 	if int(id) >= len(st.epochs) {
 		n := len(st.epochs)
@@ -369,6 +361,10 @@ func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 	chain := append([]EpochInfo(nil), st.epochs[start:id+1]...)
 	st.mu.RUnlock()
 
+	_, stage := st.tracer.StartStage(context.Background(), "warehouse.snapshot", st.metrics.decodeHistogram())
+	defer stage.End()
+	stage.Span().SetAttrInt("epoch", int64(id))
+	stage.Span().SetAttrInt("chain", int64(len(chain)))
 	var snap *Snapshot
 	for _, info := range chain {
 		next, err := st.loadEpoch(info, snap)
@@ -377,10 +373,6 @@ func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 		}
 		snap = next
 	}
-	if st.metrics != nil {
-		st.metrics.decodeSeconds.ObserveSince(t0)
-	}
-	span.SetAttrInt("chain", int64(len(chain)))
 	return snap, nil
 }
 
@@ -402,13 +394,4 @@ func (st *Store) totalBytesLocked() int64 {
 		sum += e.Bytes
 	}
 	return sum
-}
-
-// startSpan begins a span on t when non-nil, else falls back to the
-// ambient (context-carried) tracer.
-func startSpan(t *trace.Tracer, ctx context.Context, name string) (context.Context, *trace.Span) {
-	if t != nil {
-		return t.StartSpan(ctx, name)
-	}
-	return trace.StartSpan(ctx, name)
 }
