@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check lint lint-report bench bench-api bench-store bench-stream bench-drift metrics-lint fuzz-smoke trace-demo
+.PHONY: build test check results-check fmt-check lint lint-report bench bench-api bench-store bench-stream bench-drift metrics-lint fuzz-smoke trace-demo
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,14 @@ check: fmt-check lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	cd layerbench && $(GO) vet ./... && $(GO) test -short ./...
+
+# Reproduction gate: regenerate every experiment report into a fresh
+# directory and fail on any byte that differs from the committed
+# results/ (about 1.5 min on two cores). A change that moves a
+# reproduced number must regenerate results/ in the same commit.
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -out "$$tmp" >/dev/null && diff -r results "$$tmp"
 
 # gofmt gate: fails listing every Go file gofmt would change. Skips
 # dot-directories (.git, the layerbench build cache) and the analyzer

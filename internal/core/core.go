@@ -21,9 +21,11 @@ package core
 
 import (
 	"context"
+	"maps"
 	"slices"
 
 	"github.com/asrank-go/asrank/internal/paths"
+	"github.com/asrank-go/asrank/internal/pool"
 	"github.com/asrank-go/asrank/internal/topology"
 	"github.com/asrank-go/asrank/internal/trace"
 )
@@ -95,9 +97,9 @@ type Options struct {
 	Sanitize bool
 	// IXPASes is forwarded to sanitization when Sanitize is set.
 	IXPASes map[uint32]bool
-	// Workers bounds the worker pool of the parallel stages (currently
-	// path sanitization); <= 0 selects runtime.GOMAXPROCS. Worker count
-	// never changes results.
+	// Workers bounds the worker pool of the parallel stages (path
+	// sanitization and the steps 2–4 corpus fold); <= 0 selects
+	// runtime.GOMAXPROCS. Worker count never changes results.
 	Workers int
 }
 
@@ -284,38 +286,64 @@ type corpusFold struct {
 // rows (prefixes, collectors) repeat it. Step 4's verdict is per
 // sequence; the kept corpus and the dropped count are per row, in
 // input order. opts must already carry its defaults.
+//
+// Each layer is built by two pool tasks under opts.Workers, one per
+// half of AddPath or AddKept. The halves write disjoint maps and each
+// walks the sequences in first-seen order, so every map is written by
+// one goroutine in one order and the index does not depend on the
+// worker count.
 func foldCorpus(ctx context.Context, ds *paths.Dataset, opts Options) corpusFold {
 	f := corpusFold{ix: NewCorpusIndex()}
+	ix := f.ix
 	var hs hopSet
 
 	// Step 2: ranking.
-	_, stage := trace.StartStage(ctx, "core.infer.rank", inferStepDuration.With("rank"))
+	rctx, stage := trace.StartStage(ctx, "core.infer.rank", inferStepDuration.With("rank"))
 	rowSeq := hs.internRows(ds)
-	for _, seq := range hs.seqs {
-		f.ix.AddPath(seq, 1)
-	}
-	f.rank = f.ix.Rank()
+	runHalves(rctx, opts.Workers, func() {
+		for _, seq := range hs.seqs {
+			ix.addDegrees(seq, 1)
+		}
+	}, func() {
+		for _, seq := range hs.seqs {
+			ix.addTransit(seq, 1)
+		}
+	})
+	f.rank = ix.Rank()
 	stage.End()
 
 	// Step 3: clique.
 	_, stage = trace.StartStage(ctx, "core.infer.clique", inferStepDuration.With("clique"))
-	f.clique = CliqueFromIndex(f.ix, f.rank, opts)
+	f.clique = CliqueFromIndex(ix, f.rank, opts)
 	stage.End()
 	cliqueSet := make(map[uint32]bool, len(f.clique))
 	for _, c := range f.clique {
 		cliqueSet[c] = true
 	}
 
-	// Step 4: discard poisoned paths and build the kept layer.
-	_, stage = trace.StartStage(ctx, "core.infer.poison", inferStepDuration.With("poison"))
+	// Step 4: discard poisoned paths and build the kept layer. Its
+	// adjacency is the ranked layer's less the poisoned sequences (see
+	// addAdjacency), so it starts as a clone and sheds those; its
+	// per-path aggregates are folded from the kept sequences.
+	pctx, stage := trace.StartStage(ctx, "core.infer.poison", inferStepDuration.With("poison"))
 	poisonedSeq := make([]bool, len(hs.seqs))
 	for i, seq := range hs.seqs {
-		if poisoned(seq, cliqueSet) {
-			poisonedSeq[i] = true
-		} else {
-			f.ix.AddKept(seq, 1)
-		}
+		poisonedSeq[i] = poisoned(seq, cliqueSet)
 	}
+	runHalves(pctx, opts.Workers, func() {
+		ix.links, ix.triples = maps.Clone(ix.preLinks), maps.Clone(ix.preTriples)
+		for i, seq := range hs.seqs {
+			if poisonedSeq[i] {
+				addAdjacency(ix.links, ix.triples, seq, -1)
+			}
+		}
+	}, func() {
+		for i, seq := range hs.seqs {
+			if !poisonedSeq[i] {
+				ix.addKeptPaths(seq, 1)
+			}
+		}
+	})
 	f.kept = &paths.Dataset{Paths: make([]paths.Path, 0, len(ds.Paths))}
 	for r, p := range ds.Paths {
 		if poisonedSeq[rowSeq[r]] {
@@ -326,6 +354,17 @@ func foldCorpus(ctx context.Context, ds *paths.Dataset, opts Options) corpusFold
 	}
 	stage.End()
 	return f
+}
+
+// runHalves runs the two halves of a layer's fold as pool tasks,
+// concurrently when workers allows.
+func runHalves(ctx context.Context, workers int, first, second func()) {
+	halves := [2]func(){first, second}
+	pool.RangeCtx(ctx, workers, len(halves), func(_ context.Context, _, lo, hi int) {
+		for _, half := range halves[lo:hi] {
+			half()
+		}
+	})
 }
 
 // InferIndexed runs inference over an already-built corpus index with a

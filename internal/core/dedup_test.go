@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -125,20 +126,83 @@ func TestInternRows(t *testing.T) {
 	}
 }
 
+// TestFoldMatchesPerSequenceAdds holds the batch fold to the plain
+// definition of both layers: AddPath once per distinct sequence, then
+// AddKept once per unpoisoned one, in first-seen order. The fold runs
+// the halves of each as separate pool tasks and clones the kept
+// layer's adjacency from the ranked layer; at every worker count the
+// index must be the same, raw refcounts included, and so must rank,
+// clique, kept rows and dropped count.
+func TestFoldMatchesPerSequenceAdds(t *testing.T) {
+	base := seedCorpus(t, 101, 500, 15)
+	var hs hopSet
+	rowSeq := hs.internRows(base)
+	ref := NewCorpusIndex()
+	for _, seq := range hs.seqs {
+		ref.AddPath(seq, 1)
+	}
+	opts := Options{}.withDefaults()
+	rank := ref.Rank()
+	clique := CliqueFromIndex(ref, rank, opts)
+	cliqueSet := make(map[uint32]bool)
+	for _, c := range clique {
+		cliqueSet[c] = true
+	}
+	poisonedSeqs := 0
+	for _, seq := range hs.seqs {
+		if poisoned(seq, cliqueSet) {
+			poisonedSeqs++
+		} else {
+			ref.AddKept(seq, 1)
+		}
+	}
+	if poisonedSeqs == 0 {
+		t.Fatal("seed corpus has no poisoned sequences; the kept-layer clone would not be exercised")
+	}
+	var kept []paths.Path
+	dropped := 0
+	for r, p := range base.Paths {
+		if poisoned(hs.seqs[rowSeq[r]], cliqueSet) {
+			dropped++
+		} else {
+			kept = append(kept, p)
+		}
+	}
+
+	for _, workers := range []int{1, 2, 5} {
+		opts.Workers = workers
+		f := foldCorpus(context.Background(), base, opts)
+		if !reflect.DeepEqual(f.ix, ref) {
+			t.Errorf("workers=%d: fold index differs from per-sequence AddPath/AddKept", workers)
+		}
+		if !reflect.DeepEqual(f.rank, rank) || !reflect.DeepEqual(f.clique, clique) {
+			t.Errorf("workers=%d: rank or clique differs", workers)
+		}
+		if !reflect.DeepEqual(f.kept.Paths, kept) || f.dropped != dropped {
+			t.Errorf("workers=%d: kept %d rows, dropped %d; want %d, %d",
+				workers, len(f.kept.Paths), f.dropped, len(kept), dropped)
+		}
+	}
+}
+
 // benchFold keeps the benchmarked fold's result live.
 var benchFold corpusFold
 
 // BenchmarkCorpusFold measures steps 2–4 alone — interning the hop
 // sequences, ranking, clique, poisoned-path discard, both index layers
 // — over the root package's micro-bench corpus (seed 1, 1000 ASes, 15
-// VPs), on which its BenchmarkInfer runs steps 2–9.
+// VPs), on which its BenchmarkInfer runs steps 2–9. The sub-benchmarks
+// run the fold's pool tasks on one worker and on two.
 func BenchmarkCorpusFold(b *testing.B) {
 	clean := seedCorpus(b, 1, 1000, 15)
-	opts := Options{}.withDefaults()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchFold = foldCorpus(context.Background(), clean, opts)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := Options{Workers: workers}.withDefaults()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchFold = foldCorpus(context.Background(), clean, opts)
+			}
+		})
 	}
 }
 

@@ -45,9 +45,11 @@ type pairKey struct {
 //     intra-clique labeling, provider-less detection, and steps 5–9.
 //
 // Batch inference builds both layers by folding +1 once per distinct
-// hop sequence of a Dataset; the streaming engine calls the same
-// mutators with ±1 deltas per route entry as routes are announced and
-// withdrawn. The two share key sets, not raw counts.
+// hop sequence of a Dataset (the kept layer's adjacency as a clone of
+// the ranked layer's, less the poisoned sequences); the streaming
+// engine calls the same mutators with ±1 deltas per route entry as
+// routes are announced and withdrawn. The two share key sets, not raw
+// counts.
 type CorpusIndex struct {
 	// Ranked layer.
 	occur       map[uint32]int     // per-hop AS occurrences (ASes())
@@ -129,7 +131,17 @@ func bumpPair(pairs map[pairKey]int, counts map[uint32]int, x, y uint32, d int) 
 // ranked layer. The batch pipeline adds each distinct hop sequence
 // once; the streaming engine refcounts RIB entries per (collector,
 // prefix, hops) and calls AddPath only on an entry's 0↔1 transitions.
+//
+// Its two halves write disjoint maps, so the batch fold runs each over
+// the whole corpus as its own pool task.
 func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
+	ix.addDegrees(asns, d)
+	ix.addTransit(asns, d)
+}
+
+// addDegrees is the half of AddPath that maintains per-AS occurrences
+// and the distinct-neighbor degree: occur, nbrPair and deg.
+func (ix *CorpusIndex) addDegrees(asns []uint32, d int) {
 	for _, a := range asns {
 		bump(ix.occur, a, d)
 	}
@@ -137,17 +149,34 @@ func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 		a, b := asns[i], asns[i+1]
 		bumpPair(ix.nbrPair, ix.deg, a, b, d)
 		bumpPair(ix.nbrPair, ix.deg, b, a, d)
-		bump(ix.preLinks, paths.NewLink(a, b), d)
-		var prev uint32
-		if i > 0 {
-			prev = asns[i-1]
-		}
-		bump(ix.preTriples, Triple{Prev: prev, Mid: a, Next: b}, d)
 	}
+}
+
+// addTransit is the other half of AddPath: the transit degree
+// (transitPair, transitDeg) and the ranked layer's adjacency
+// (preLinks, preTriples).
+func (ix *CorpusIndex) addTransit(asns []uint32, d int) {
 	for i := 1; i+1 < len(asns); i++ {
 		mid := asns[i]
 		bumpPair(ix.transitPair, ix.transitDeg, mid, asns[i-1], d)
 		bumpPair(ix.transitPair, ix.transitDeg, mid, asns[i+1], d)
+	}
+	addAdjacency(ix.preLinks, ix.preTriples, asns, d)
+}
+
+// addAdjacency bumps every link and hop context of asns: the one
+// definition of both layers' adjacency aggregates (preLinks/preTriples
+// and links/triples). Over the same sequences the two layers therefore
+// hold the same keys and counts, less the kept layer's poisoned
+// sequences — the identity the batch fold builds the kept layer from.
+func addAdjacency(links map[paths.Link]int, triples map[Triple]int, asns []uint32, d int) {
+	for i := 0; i+1 < len(asns); i++ {
+		bump(links, paths.NewLink(asns[i], asns[i+1]), d)
+		var prev uint32
+		if i > 0 {
+			prev = asns[i-1]
+		}
+		bump(triples, Triple{Prev: prev, Mid: asns[i], Next: asns[i+1]}, d)
 	}
 }
 
@@ -155,7 +184,17 @@ func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 // (d=-1) the kept layer. Poisoned-ness is a per-path function of the
 // clique (see Poisoned); when the clique changes, the engine resets the
 // layer and re-adds every surviving path.
+//
+// Like AddPath it is two halves over disjoint maps: the adjacency
+// (links, triples) and the per-path aggregates (addKeptPaths).
 func (ix *CorpusIndex) AddKept(asns []uint32, d int) {
+	addAdjacency(ix.links, ix.triples, asns, d)
+	ix.addKeptPaths(asns, d)
+}
+
+// addKeptPaths is the per-path half of AddKept: pathCount, origins,
+// vpOrigins and vpFirstHops.
+func (ix *CorpusIndex) addKeptPaths(asns []uint32, d int) {
 	if len(asns) == 0 {
 		return
 	}
@@ -164,14 +203,6 @@ func (ix *CorpusIndex) AddKept(asns []uint32, d int) {
 	if len(asns) >= 2 {
 		bump(ix.vpOrigins, VPPair{VP: asns[0], Other: asns[len(asns)-1]}, d)
 		bump(ix.vpFirstHops, VPPair{VP: asns[0], Other: asns[1]}, d)
-	}
-	for i := 0; i+1 < len(asns); i++ {
-		bump(ix.links, paths.NewLink(asns[i], asns[i+1]), d)
-		var prev uint32
-		if i > 0 {
-			prev = asns[i-1]
-		}
-		bump(ix.triples, Triple{Prev: prev, Mid: asns[i], Next: asns[i+1]}, d)
 	}
 }
 
@@ -260,7 +291,7 @@ type hopSet struct {
 // the index of its sequence in hs.seqs. The sequences alias the rows'
 // hop slices.
 func (hs *hopSet) internRows(ds *paths.Dataset) []int32 {
-	hs.head = make(map[uint64]int32)
+	hs.head = make(map[uint64]int32, len(ds.Paths))
 	rowSeq := make([]int32, len(ds.Paths))
 	for r, p := range ds.Paths {
 		rowSeq[r] = hs.intern(p.ASNs, hashHops(p.ASNs))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"net/netip"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/asn"
 	"github.com/asrank-go/asrank/internal/pool"
@@ -21,9 +22,10 @@ type SanitizeOptions struct {
 	KeepDuplicates bool
 	// Workers bounds the worker pool that cleans path shards in
 	// parallel; <= 0 selects runtime.GOMAXPROCS. Worker count never
-	// changes results: per-path cleaning is independent, and the
-	// order-dependent bookkeeping (stats, dedup, output order) runs
-	// over the cleaned shards in input order.
+	// changes results: per-path cleaning is independent, and so is
+	// the hash of each surviving row's duplicate identity, computed in
+	// the same parallel phase; the order-dependent bookkeeping (stats,
+	// dedup, output order) runs over the cleaned shards in input order.
 	Workers int
 }
 
@@ -65,24 +67,31 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 	ctx, stage := trace.StartStage(ctx, "paths.sanitize", sanDuration)
 	stats := SanitizeStats{Input: len(ds.Paths)}
 	out := &Dataset{Paths: make([]Path, 0, len(ds.Paths))}
-	seen := make(map[string]bool)
-	var key []byte
 
 	type cleanedPath struct {
 		asns []uint32
 		info pathInfo
+		hash uint64 // dupHash of the cleaned row, when deduplicating
 	}
 	cleanedPaths := make([]cleanedPath, len(ds.Paths))
 	cleanCtx, cleanSpan := trace.StartSpan(ctx, "paths.sanitize.clean")
 	pool.RangeCtx(cleanCtx, opts.Workers, len(ds.Paths), func(_ context.Context, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			asns, info := sanitizePath(ds.Paths[i].ASNs, opts.IXPASes)
+			p := ds.Paths[i]
+			asns, info := sanitizePath(p.ASNs, opts.IXPASes)
 			cleanedPaths[i] = cleanedPath{asns: asns, info: info}
+			if !opts.KeepDuplicates {
+				cleanedPaths[i].hash = dupHash(p.Collector, p.Prefix, asns)
+			}
 		}
 	})
 	cleanSpan.End()
 
 	_, sweepSpan := trace.StartSpan(ctx, "paths.sanitize.sweep")
+	var seen dupSet
+	if !opts.KeepDuplicates {
+		seen = newDupSet(len(ds.Paths))
+	}
 	for i, p := range ds.Paths {
 		cleaned, info := cleanedPaths[i].asns, cleanedPaths[i].info
 		switch info {
@@ -98,13 +107,9 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 			continue
 		}
 		np := Path{Collector: p.Collector, Prefix: p.Prefix, ASNs: cleaned}
-		if !opts.KeepDuplicates {
-			key = appendDupKey(key[:0], np)
-			if seen[string(key)] {
-				stats.Duplicates++
-				continue
-			}
-			seen[string(key)] = true
+		if !opts.KeepDuplicates && !seen.insert(out.Paths, np, cleanedPaths[i].hash) {
+			stats.Duplicates++
+			continue
 		}
 		if info&pathPrepended != 0 {
 			stats.PrependingRemoved++
@@ -173,41 +178,109 @@ func sanitizePath(asns []uint32, ixp map[uint32]bool) ([]uint32, pathInfo) {
 		}
 		cleaned = append(cleaned, a)
 	}
-	// After compression any repeat is a loop.
-	seen := make(map[uint32]bool, len(cleaned))
-	for _, a := range cleaned {
-		if seen[a] {
-			return nil, pathLoop
-		}
-		seen[a] = true
+	if hasRepeat(cleaned) {
+		return nil, pathLoop // after compression any repeat is a loop
 	}
 	return cleaned, info
 }
 
-// appendDupKey appends the duplicate identity of p to b: the collector
-// (length-prefixed), the prefix in binary — address family, 16 address
-// bytes, bit length — and the hops as raw big-endian bytes. The family
-// byte keeps 1.2.3.0/24 apart from ::ffff:1.2.3.0/24; every invalid
-// prefix encodes alike.
-func appendDupKey(b []byte, p Path) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p.Collector)))
-	b = append(b, p.Collector...)
-	pfx := p.Prefix
-	var family byte
-	switch {
-	case !pfx.IsValid():
-		pfx = netip.Prefix{}
-	case pfx.Addr().Is4():
-		family = 4
-	default:
-		family = 6
+// loopScanMax is the longest path hasRepeat checks by pairwise scan;
+// real AS paths are far shorter, and longer ones go through a set so
+// the check stays linear.
+const loopScanMax = 32
+
+// hasRepeat reports whether any ASN occurs twice in asns.
+func hasRepeat(asns []uint32) bool {
+	if len(asns) > loopScanMax {
+		seen := make(map[uint32]bool, len(asns))
+		for _, a := range asns {
+			if seen[a] {
+				return true
+			}
+			seen[a] = true
+		}
+		return false
 	}
+	for i := 1; i < len(asns); i++ {
+		if slices.Contains(asns[:i], asns[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// dupSet is the duplicate filter of the sweep: it finds a row among
+// the rows kept so far by the hash of its duplicate identity, then
+// compares candidates exactly (sameRow), so two rows collapse only when
+// they are equal, never on a hash match alone. It stores row indexes;
+// the rows themselves are the caller's kept slice.
+type dupSet struct {
+	head map[uint64]int32 // hash -> newest kept row with that hash
+	next []int32          // next[i]: older kept row with row i's hash, or -1
+}
+
+// newDupSet returns a set sized for up to n rows.
+func newDupSet(n int) dupSet {
+	return dupSet{head: make(map[uint64]int32, n), next: make([]int32, 0, n)}
+}
+
+// insert reports whether p is new among kept, the rows inserted so far
+// in insertion order. If it is, insert records p as kept[len(kept)],
+// and the caller must append it. h must be a function of p's duplicate
+// identity alone (dupHash); it only narrows the candidates to compare.
+func (s *dupSet) insert(kept []Path, p Path, h uint64) bool {
+	head, ok := s.head[h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = s.next[i] {
+		if sameRow(kept[i], p) {
+			return false
+		}
+	}
+	s.head[h] = int32(len(s.next))
+	s.next = append(s.next, head)
+	return true
+}
+
+// sameRow is the duplicate identity of two rows: equal collector,
+// equal prefix, equal hops. Prefixes compare as netip values, so
+// 1.2.3.0/24 and ::ffff:1.2.3.0/24 stay apart, and every invalid prefix
+// counts as equal to every other.
+func sameRow(a, b Path) bool {
+	return a.Collector == b.Collector && dupPrefix(a.Prefix) == dupPrefix(b.Prefix) &&
+		slices.Equal(a.ASNs, b.ASNs)
+}
+
+// dupPrefix normalizes every invalid prefix to the zero Prefix, which
+// == would otherwise tell apart by their leftover address bits.
+func dupPrefix(p netip.Prefix) netip.Prefix {
+	if !p.IsValid() {
+		return netip.Prefix{}
+	}
+	return p
+}
+
+// dupHash is FNV-1a over a row's duplicate identity: the collector
+// byte by byte, then the normalized prefix (address family, address
+// halves, bit length) and the hops one word per round.
+func dupHash(collector string, pfx netip.Prefix, asns []uint32) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(collector); i++ {
+		h = (h ^ uint64(collector[i])) * prime
+	}
+	pfx = dupPrefix(pfx)
 	a16 := pfx.Addr().As16()
-	b = append(b, family)
-	b = append(b, a16[:]...)
-	b = append(b, byte(pfx.Bits()))
-	for _, a := range p.ASNs {
-		b = binary.BigEndian.AppendUint32(b, a)
+	var family uint64
+	if pfx.Addr().Is4() {
+		family = 1 << 8
 	}
-	return b
+	h = (h ^ binary.BigEndian.Uint64(a16[:8])) * prime
+	h = (h ^ binary.BigEndian.Uint64(a16[8:])) * prime
+	h = (h ^ (family | uint64(uint8(pfx.Bits())))) * prime
+	for _, a := range asns {
+		h = (h ^ uint64(a)) * prime
+	}
+	return h
 }

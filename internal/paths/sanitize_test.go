@@ -154,3 +154,75 @@ func TestSanitizeStatsFixedCorpus(t *testing.T) {
 		t.Errorf("output has %d paths, stats.Kept = %d", out.NumPaths(), stats.Kept)
 	}
 }
+
+// TestDupSetComparesRows forces every row onto one hash: the set must
+// still collapse only exact repeats — rows equal in collector, prefix
+// and hops, with all invalid prefixes alike — and keep apart an IPv4
+// prefix and its IPv4-mapped form, two collectors, two prefix lengths
+// and two hop sequences. Sanitize with the real hash keeps the same
+// rows.
+func TestDupSetComparesRows(t *testing.T) {
+	row := func(collector string, pfx netip.Prefix, asns ...uint32) Path {
+		return Path{Collector: collector, Prefix: pfx, ASNs: asns}
+	}
+	v4 := netip.MustParsePrefix("1.2.3.0/24")
+	mapped := netip.MustParsePrefix("::ffff:1.2.3.0/24")
+	short := netip.MustParsePrefix("1.2.3.0/25")
+	bad := netip.PrefixFrom(netip.MustParseAddr("198.51.100.0"), 40) // invalid: bits > 32
+	rows := []Path{
+		row("c1", v4, 10, 20, 30),
+		row("c1", mapped, 10, 20, 30),
+		row("c1", v4, 10, 20, 30), // repeat of row 0
+		row("c2", v4, 10, 20, 30),
+		row("c1", short, 10, 20, 30),
+		row("c1", v4, 10, 20, 40),
+		row("c1", v4, 10, 20),
+		row("c1", mapped, 10, 20, 30), // repeat of row 1
+		row("c1", netip.Prefix{}, 10, 20, 30),
+		row("c1", bad, 10, 20, 30), // invalid like row 8
+		row("c2", bad, 10, 20, 30),
+		row("c2", netip.Prefix{}, 10, 20, 30), // invalid like row 10
+	}
+	want := []Path{rows[0], rows[1], rows[3], rows[4], rows[5], rows[6], rows[8], rows[10]}
+
+	set := newDupSet(0)
+	var kept []Path
+	dups := 0
+	for _, p := range rows {
+		if !set.insert(kept, p, 42) {
+			dups++
+			continue
+		}
+		kept = append(kept, p)
+	}
+	if dups != len(rows)-len(want) {
+		t.Errorf("duplicates = %d, want %d", dups, len(rows)-len(want))
+	}
+	if !reflect.DeepEqual(kept, want) {
+		t.Errorf("kept %v, want %v", kept, want)
+	}
+
+	out, stats := Sanitize(&Dataset{Paths: rows}, SanitizeOptions{})
+	if stats.Duplicates != dups || !reflect.DeepEqual(out.Paths, kept) {
+		t.Errorf("Sanitize kept %v with %d duplicates, want the forced-collision result", out.Paths, stats.Duplicates)
+	}
+}
+
+// TestHasRepeatBothLengths checks the loop test on both sides of
+// loopScanMax: a repeat anywhere is found, a path of distinct hops is
+// not flagged.
+func TestHasRepeatBothLengths(t *testing.T) {
+	for _, n := range []int{2, loopScanMax, loopScanMax + 1, 3 * loopScanMax} {
+		asns := make([]uint32, n)
+		for i := range asns {
+			asns[i] = uint32(100 + i)
+		}
+		if hasRepeat(asns) {
+			t.Errorf("%d distinct hops flagged as a loop", n)
+		}
+		asns[n-1] = asns[0]
+		if !hasRepeat(asns) {
+			t.Errorf("%d hops: repeat of the first hop at the end not found", n)
+		}
+	}
+}
